@@ -191,6 +191,16 @@ def _finish(x, stats, skeleton, fps):
     return GestureSequence(x, fps=fps, skeleton=skeleton)
 
 
+def _skeleton_for(n_joints, skeleton):
+    """The given skeleton, else the default one if the joint count fits, else a chain."""
+    from .motion import default_skeleton, generic_skeleton
+
+    if skeleton is not None:
+        return skeleton
+    default = default_skeleton()
+    return default if n_joints == default.joint_count else generic_skeleton(n_joints)
+
+
 def sample(
     denoiser,
     condition,
@@ -205,14 +215,7 @@ def sample(
     variance: str = "beta",
 ) -> GestureSequence:
     """Generate a sequence from pure noise under the given condition."""
-    from .motion import default_skeleton, generic_skeleton
-
-    if skeleton is None:
-        skeleton = (
-            default_skeleton()
-            if n_joints == default_skeleton().joint_count
-            else generic_skeleton(n_joints)
-        )
+    skeleton = _skeleton_for(n_joints, skeleton)
     x = _masked_chain(
         denoiser, condition, (n_frames, n_joints, 3), schedule, rng, variance=variance
     )
@@ -276,9 +279,10 @@ def seed_pose_sample(
     fps: float = 15.0,
     variance: str = "beta",
 ) -> GestureSequence:
-    """Generate n_frames of motion whose leading frames are pinned to seed_pose."""
-    from .motion import default_skeleton, generic_skeleton
+    """Generate n_frames of motion whose leading frames are pinned to seed_pose.
 
+    An empty seed pose pins nothing, so the chain replays ``sample`` exactly.
+    """
     if isinstance(seed_pose, GestureSequence):
         skeleton = seed_pose.skeleton
         fps = seed_pose.fps
@@ -290,17 +294,7 @@ def seed_pose_sample(
     k, n_joints = seed.shape[0], seed.shape[1]
     if k > n_frames:
         raise ConfigError(f"seed pose has {k} frames but only {n_frames} requested")
-    if skeleton is None:
-        skeleton = (
-            default_skeleton()
-            if n_joints == default_skeleton().joint_count
-            else generic_skeleton(n_joints)
-        )
-    if k == 0:
-        x = _masked_chain(
-            denoiser, condition, (n_frames, n_joints, 3), schedule, rng, variance=variance
-        )
-        return _finish(x, stats, skeleton, fps)
+    skeleton = _skeleton_for(n_joints, skeleton)
     seed_norm = normalize(seed, stats) if stats is not None else seed
     ref_norm = np.zeros((n_frames, n_joints, 3))
     ref_norm[:k] = seed_norm

@@ -16,11 +16,31 @@ from .autodiff import Tensor, gelu, layer_norm, scaled_dot_attention
 from .errors import ConfigError, DimensionError
 
 
-def prefixed(params: dict, prefix: str) -> dict:
-    return {f"{prefix}.{k}": v for k, v in params.items()}
+class Module:
+    """Base of every block that owns trainable tensors.
+
+    ``params()`` is the one place parameter names come from.  It walks the
+    instance attributes in assignment order: a Tensor with requires_grad is a
+    parameter named after its attribute; a child (anything with a ``params``
+    method, so stand-in proxies count too) adds its attribute name as a
+    prefix to its own names; the items of a list are named by their position
+    alone.  Frozen tensors, arrays, configs and numbers are skipped.
+    """
+
+    def params(self) -> dict:
+        out = {}
+        for attr, value in vars(self).items():
+            items = enumerate(value) if isinstance(value, list) else [(attr, value)]
+            for name, item in items:
+                if isinstance(item, Tensor):
+                    if item.requires_grad:
+                        out[str(name)] = item
+                elif hasattr(item, "params"):
+                    out.update({f"{name}.{k}": p for k, p in item.params().items()})
+        return out
 
 
-class Linear:
+class Linear(Module):
     """Affine map with fan-in scaled uniform weights and zero bias."""
 
     def __init__(self, d_in, d_out, rng, zero_init=False):
@@ -34,9 +54,6 @@ class Linear:
 
     def __call__(self, x: Tensor) -> Tensor:
         return x @ self.W + self.b
-
-    def params(self):
-        return {"W": self.W, "b": self.b}
 
 
 def sinusoidal_table(n_positions: int, dim: int) -> np.ndarray:
@@ -60,7 +77,21 @@ def timestep_features(t_values, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
-class ConditionalNorm:
+class ScaleShift(Module):
+    """Direct feature modulation x * gamma(e) + beta(e), no norm; identity at init."""
+
+    def __init__(self, d, d_cond, rng):
+        self.scale = Linear(d_cond, d, rng, zero_init=True)
+        self.shift = Linear(d_cond, d, rng, zero_init=True)
+        self.d = d
+
+    def __call__(self, x: Tensor, cond: Tensor) -> Tensor:
+        gamma = self.scale(cond) + 1.0
+        beta = self.shift(cond)
+        return x * gamma.reshape(-1, 1, self.d) + beta.reshape(-1, 1, self.d)
+
+
+class ConditionalNorm(ScaleShift):
     """Layer norm whose scale/shift come from a conditioning vector.
 
     Zero-init heads make the modulation identity (scale 1, shift 0) at
@@ -68,82 +99,19 @@ class ConditionalNorm:
     """
 
     def __init__(self, d, d_cond, rng):
-        self.scale_head = Linear(d_cond, d, rng, zero_init=True)
-        self.shift_head = Linear(d_cond, d, rng, zero_init=True)
+        super().__init__(d, d_cond, rng)
         self._gain = Tensor(np.ones(d))
         self._bias = Tensor(np.zeros(d))
-        self.d = d
 
     def __call__(self, x: Tensor, cond) -> Tensor:
         normed = layer_norm(x, self._gain, self._bias)
         if cond is None:
             return normed
-        gamma = self.scale_head(cond) + 1.0
-        beta = self.shift_head(cond)
-        return normed * gamma.reshape(-1, 1, self.d) + beta.reshape(-1, 1, self.d)
-
-    def params(self):
-        return {**prefixed(self.scale_head.params(), "scale"),
-                **prefixed(self.shift_head.params(), "shift")}
+        return super().__call__(normed, cond)
 
 
-class ScaleShift:
-    """Direct feature modulation x * gamma(e) + beta(e), no norm; identity at init."""
-
-    def __init__(self, d, d_cond, rng):
-        self.scale_head = Linear(d_cond, d, rng, zero_init=True)
-        self.shift_head = Linear(d_cond, d, rng, zero_init=True)
-        self.d = d
-
-    def __call__(self, x: Tensor, cond: Tensor) -> Tensor:
-        gamma = self.scale_head(cond) + 1.0
-        beta = self.shift_head(cond)
-        return x * gamma.reshape(-1, 1, self.d) + beta.reshape(-1, 1, self.d)
-
-    def params(self):
-        return {**prefixed(self.scale_head.params(), "scale"),
-                **prefixed(self.shift_head.params(), "shift")}
-
-
-class MultiHeadSelfAttention:
-    def __init__(self, d, heads, rng):
-        if d % heads != 0:
-            raise ConfigError(f"model dim {d} not divisible by {heads} heads")
-        self.d, self.heads = d, heads
-        self.q = Linear(d, d, rng)
-        self.k = Linear(d, d, rng)
-        self.v = Linear(d, d, rng)
-        self.out = Linear(d, d, rng)
-
-    def _split(self, x: Tensor, s: int) -> Tensor:
-        dh = self.d // self.heads
-        return x.reshape(-1, s, self.heads, dh).transpose(0, 2, 1, 3)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        if len(x.shape) != 3:
-            raise DimensionError(f"attention input must be (B, S, d), got {x.shape}")
-        s = x.shape[1]
-        dh = self.d // self.heads
-        q, k, v = self._split(self.q(x), s), self._split(self.k(x), s), self._split(self.v(x), s)
-        y = scaled_dot_attention(q, k, v, 1.0 / np.sqrt(dh))
-        y = y.transpose(0, 2, 1, 3).reshape(-1, s, self.d)
-        return self.out(y)
-
-    def params(self):
-        return {
-            **prefixed(self.q.params(), "q"),
-            **prefixed(self.k.params(), "k"),
-            **prefixed(self.v.params(), "v"),
-            **prefixed(self.out.params(), "out"),
-        }
-
-
-class CrossAttention:
-    """Queries from the feature stream, keys/values from a context stream.
-
-    The output projection is added back to the input (residual), so zero
-    value weights leave the input untouched.
-    """
+class Attention(Module):
+    """Multi-head attention: queries from x, keys and values from ctx."""
 
     def __init__(self, d, d_ctx, heads, rng):
         if d % heads != 0:
@@ -158,11 +126,7 @@ class CrossAttention:
         dh = self.d // self.heads
         return x.reshape(-1, s, self.heads, dh).transpose(0, 2, 1, 3)
 
-    def __call__(self, x: Tensor, ctx: Tensor) -> Tensor:
-        if len(x.shape) != 3 or len(ctx.shape) != 3:
-            raise DimensionError(
-                f"cross-attention needs (B, S, d) inputs, got {x.shape} and {ctx.shape}"
-            )
+    def _attend(self, x: Tensor, ctx: Tensor) -> Tensor:
         s, s_ctx = x.shape[1], ctx.shape[1]
         dh = self.d // self.heads
         q = self._split(self.q(x), s)
@@ -170,18 +134,35 @@ class CrossAttention:
         v = self._split(self.v(ctx), s_ctx)
         y = scaled_dot_attention(q, k, v, 1.0 / np.sqrt(dh))
         y = y.transpose(0, 2, 1, 3).reshape(-1, s, self.d)
-        return x + self.out(y)
-
-    def params(self):
-        return {
-            **prefixed(self.q.params(), "q"),
-            **prefixed(self.k.params(), "k"),
-            **prefixed(self.v.params(), "v"),
-            **prefixed(self.out.params(), "out"),
-        }
+        return self.out(y)
 
 
-class FeedForward:
+class MultiHeadSelfAttention(Attention):
+    def __init__(self, d, heads, rng):
+        super().__init__(d, d, heads, rng)
+
+    def __call__(self, x: Tensor) -> Tensor:
+        if len(x.shape) != 3:
+            raise DimensionError(f"attention input must be (B, S, d), got {x.shape}")
+        return self._attend(x, x)
+
+
+class CrossAttention(Attention):
+    """Queries from the feature stream, keys/values from a context stream.
+
+    The output projection is added back to the input (residual), so zero
+    value weights leave the input untouched.
+    """
+
+    def __call__(self, x: Tensor, ctx: Tensor) -> Tensor:
+        if len(x.shape) != 3 or len(ctx.shape) != 3:
+            raise DimensionError(
+                f"cross-attention needs (B, S, d) inputs, got {x.shape} and {ctx.shape}"
+            )
+        return x + self._attend(x, ctx)
+
+
+class FeedForward(Module):
     def __init__(self, d, rng, mult=4):
         self.up = Linear(d, mult * d, rng)
         self.down = Linear(mult * d, d, rng)
@@ -189,12 +170,8 @@ class FeedForward:
     def __call__(self, x: Tensor) -> Tensor:
         return self.down(gelu(self.up(x)))
 
-    def params(self):
-        return {**prefixed(self.up.params(), "up"),
-                **prefixed(self.down.params(), "down")}
 
-
-class TransformerBlock:
+class TransformerBlock(Module):
     """Pre-norm self-attention + feed-forward with conditional norms."""
 
     def __init__(self, d, heads, d_cond, rng, ffn_mult=4):
@@ -207,16 +184,8 @@ class TransformerBlock:
         x = x + self.attn(self.norm1(x, cond))
         return x + self.ffn(self.norm2(x, cond))
 
-    def params(self):
-        return {
-            **prefixed(self.norm1.params(), "norm1"),
-            **prefixed(self.attn.params(), "attn"),
-            **prefixed(self.norm2.params(), "norm2"),
-            **prefixed(self.ffn.params(), "ffn"),
-        }
 
-
-class TransformerStack:
+class TransformerStack(Module):
     def __init__(self, depth, d, heads, d_cond, rng, ffn_mult=4):
         if depth < 1:
             raise ConfigError(f"transformer stack needs depth >= 1, got {depth}")
@@ -229,9 +198,3 @@ class TransformerStack:
         for block in self.blocks:
             x = block(x, cond)
         return x
-
-    def params(self):
-        out = {}
-        for i, block in enumerate(self.blocks):
-            out.update(prefixed(block.params(), str(i)))
-        return out

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import find_peaks
 
-from .autodiff import as_tensor
+from .autodiff import Tensor
 from .errors import ConfigError, ContractError, MetricError, NumericError
-from .layers import Linear
+from .layers import Linear, Module
 from .motion import AudioFeatureSequence, DatasetStats, GestureSequence, window_starts
 from .optim import Adam
 from .rng import stream
@@ -54,7 +54,7 @@ class ExtractorConfig:
             raise ConfigError("extractor training settings must be positive")
 
 
-class GestureFeatureExtractor:
+class GestureFeatureExtractor(Module):
     """Autoencoder whose frozen encoder maps clips to latent vectors."""
 
     def __init__(self, config: ExtractorConfig, input_dim, stats: DatasetStats, rng):
@@ -66,14 +66,6 @@ class GestureFeatureExtractor:
         self.dec_in = Linear(config.latent_dim, config.hidden_dim, rng)
         self.dec_out = Linear(config.hidden_dim, input_dim, rng)
         self.final_mse = None
-
-    def params(self):
-        out = {}
-        for prefix, lin in (("enc_in", self.enc_in), ("enc_out", self.enc_out),
-                            ("dec_in", self.dec_in), ("dec_out", self.dec_out)):
-            for k, v in lin.params().items():
-                out[f"{prefix}.{k}"] = v
-        return out
 
     @property
     def latent_dim(self):
@@ -93,18 +85,20 @@ class GestureFeatureExtractor:
     def encode(self, clip) -> np.ndarray:
         return self.encode_batch([clip])[0]
 
+    def _encode(self, x: Tensor) -> Tensor:
+        return self.enc_out(self.enc_in(x).tanh())
+
+    def _decode(self, z: Tensor) -> Tensor:
+        return self.dec_out(self.dec_in(z).tanh())
+
     def encode_batch(self, clips) -> np.ndarray:
         x = np.stack([self._flatten(c) for c in clips])
-        h = np.tanh(x @ self.enc_in.W.data + self.enc_in.b.data)
-        return h @ self.enc_out.W.data + self.enc_out.b.data
+        return self._encode(Tensor(x)).data
 
     def reconstruct_batch(self, clips) -> tuple:
         """(normalized inputs, reconstructions) — used for MSE reporting."""
         x = np.stack([self._flatten(c) for c in clips])
-        z = np.tanh(x @ self.enc_in.W.data + self.enc_in.b.data)
-        z = z @ self.enc_out.W.data + self.enc_out.b.data
-        h = np.tanh(z @ self.dec_in.W.data + self.dec_in.b.data)
-        return x, h @ self.dec_out.W.data + self.dec_out.b.data
+        return x, self._decode(self._encode(Tensor(x))).data
 
     def reconstruction_mse(self, clips) -> float:
         x, y = self.reconstruct_batch(clips)
@@ -130,23 +124,16 @@ def train_extractor(real_clips, config: ExtractorConfig = ExtractorConfig()):
     model = GestureFeatureExtractor(config, arrays[0].size, stats, rng)
     x_all = np.stack([model._flatten(a) for a in arrays])
 
-    params = model.params()
-    opt = Adam(params, lr=config.lr)
-    last = None
+    opt = Adam(model.params(), lr=config.lr)
     for step in range(1, config.n_steps + 1):
         batch_rng = stream(config.seed, "extractor-step", step)
         idx = batch_rng.integers(0, len(x_all), size=config.batch_size)
-        x = as_tensor(x_all[idx])
-        h = (x @ model.enc_in.W + model.enc_in.b).tanh()
-        z = h @ model.enc_out.W + model.enc_out.b
-        h2 = (z @ model.dec_in.W + model.dec_in.b).tanh()
-        y = h2 @ model.dec_out.W + model.dec_out.b
-        diff = y - x
+        x = Tensor(x_all[idx])
+        diff = model._decode(model._encode(x)) - x
         loss = (diff * diff).mean()
         opt.zero_grad()
         loss.backward()
         opt.step()
-        last = float(loss.data)
     model.final_mse = model.reconstruction_mse(arrays)
     if model.final_mse > config.target_mse:
         warnings.warn(

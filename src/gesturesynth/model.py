@@ -36,10 +36,10 @@ from .errors import ConfigError, ContractError, ParseError
 from .layers import (
     CrossAttention,
     Linear,
+    Module,
     ScaleShift,
     TransformerBlock,
     TransformerStack,
-    prefixed,
     sinusoidal_table,
     timestep_features,
 )
@@ -158,7 +158,7 @@ class EmotionCondition:
     embedding: np.ndarray
 
 
-class GestureDenoiser:
+class GestureDenoiser(Module):
     def __init__(self, config: ModelConfig, rng):
         c = self.config = config
         self.audio_align = Linear(c.d_audio_raw, c.d_audio, rng)
@@ -197,55 +197,23 @@ class GestureDenoiser:
             ffn_mult=c.ffn_mult,
         )
         self.audio_attn = CrossAttention(c.d_fusion, c.d_audio, c.heads_fusion, rng)
-        # emotion conditioning (mode fixed by config)
+        # emotion conditioning (mode fixed by config); built before the output
+        # head, which fixes the init draws, but assigned after it, which keeps
+        # the parameter order that Adam and gradient checks walk
         if c.emotion_mode == "adaln":
-            self.emotion_mod = ScaleShift(c.d_fusion, c.d_fusion, rng)
+            emotion = "emotion_mod", ScaleShift(c.d_fusion, c.d_fusion, rng)
         elif c.emotion_mode == "in_context_token":
-            self.emotion_block = TransformerBlock(
+            emotion = "emotion_block", TransformerBlock(
                 c.d_fusion, c.heads_fusion, c.d_cond, rng, ffn_mult=c.ffn_mult
             )
         elif c.emotion_mode == "in_context_content":
-            self.emotion_proj = Linear(c.d_fusion, c.d_fusion, rng)
+            emotion = "emotion_proj", Linear(c.d_fusion, c.d_fusion, rng)
         else:  # cross_attention
-            self.emotion_attn = CrossAttention(
+            emotion = "emotion_attn", CrossAttention(
                 c.d_fusion, c.d_fusion, c.heads_fusion, rng
             )
         self.out_head = Linear(c.d_fusion, c.n_joints * 3, rng)
-
-    # ------------------------------------------------------------------
-    # parameters
-    # ------------------------------------------------------------------
-
-    def params(self) -> dict:
-        c = self.config
-        out = {
-            **prefixed(self.audio_align.params(), "audio_align"),
-            **prefixed(self.emotion_phi.params(), "emotion_phi"),
-            "emotion_table": self.emotion_table,
-            **prefixed(self.time_mlp_in.params(), "time_mlp_in"),
-            **prefixed(self.time_mlp_out.params(), "time_mlp_out"),
-            "speaker_table": self.speaker_table,
-            "time_collapse": self.time_collapse,
-            **prefixed(self.joint_embed.params(), "joint_embed"),
-            "correlation_token": self.correlation_token,
-            **prefixed(self.joint_stack.params(), "joint_stack"),
-            **prefixed(self.frame_embed.params(), "frame_embed"),
-            "temporal_pe": self.temporal_pe,
-            **prefixed(self.temporal_stack.params(), "temporal_stack"),
-            **prefixed(self.token_proj.params(), "token_proj"),
-            **prefixed(self.fusion_stack.params(), "fusion_stack"),
-            **prefixed(self.audio_attn.params(), "audio_attn"),
-            **prefixed(self.out_head.params(), "out_head"),
-        }
-        if c.emotion_mode == "adaln":
-            out.update(prefixed(self.emotion_mod.params(), "emotion_mod"))
-        elif c.emotion_mode == "in_context_token":
-            out.update(prefixed(self.emotion_block.params(), "emotion_block"))
-        elif c.emotion_mode == "in_context_content":
-            out.update(prefixed(self.emotion_proj.params(), "emotion_proj"))
-        else:
-            out.update(prefixed(self.emotion_attn.params(), "emotion_attn"))
-        return out
+        setattr(self, *emotion)
 
     # ------------------------------------------------------------------
     # audio pathway
@@ -429,8 +397,9 @@ def randomize_parameters(model: GestureDenoiser, rng, scale: float = 0.05) -> No
     Sensitivity probes need all pathways active, which the neutral
     initialization deliberately is not.
     """
-    for name in sorted(model.params()):
-        p = model.params()[name]
+    params = model.params()
+    for name in sorted(params):
+        p = params[name]
         p.data = rng.normal(0.0, scale, size=p.data.shape)
 
 
@@ -490,17 +459,23 @@ def load_checkpoint(path, *, expect_config: ModelConfig = None) -> CheckpointBun
         text, start = reader.line()
         if not text.startswith(key + " "):
             reader.fail(f"expected {key} line, found {text!r}", at=start)
-        specs[key] = text[len(key) + 1 :]
+        body = text[len(key) + 1 :]
+        if key == "stats" and body == "none":
+            continue
+        try:
+            specs[key] = json.loads(body)
+        except ValueError:
+            reader.fail(f"{key} line is not valid JSON", at=start)
     text, start = reader.line()
     parts = text.split()
-    if len(parts) != 2 or parts[0] != "params":
+    if len(parts) != 2 or parts[0] != "params" or not parts[1].isdigit():
         reader.fail(f"malformed params line {text!r}", at=start)
     n_params = int(parts[1])
     entries = []
     for _ in range(n_params):
         text, start = reader.line()
         parts = text.split()
-        if len(parts) < 3 or parts[0] != "param":
+        if len(parts) < 3 or parts[0] != "param" or not all(p.isdigit() for p in parts[2:]):
             reader.fail(f"malformed param line {text!r}", at=start)
         name, ndim = parts[1], int(parts[2])
         shape = tuple(int(s) for s in parts[3 : 3 + ndim])
@@ -510,13 +485,13 @@ def load_checkpoint(path, *, expect_config: ModelConfig = None) -> CheckpointBun
     total = sum(int(np.prod(shape, dtype=np.int64)) for _, shape in entries)
     flat = _read_blob(reader, total)
 
-    config = ModelConfig.from_dict(json.loads(specs["config"]))
+    config = ModelConfig.from_dict(specs["config"])
     if expect_config is not None and config != expect_config:
         raise ConfigError(
             "checkpoint model configuration does not match the requested one"
         )
-    stats = None if specs["stats"] == "none" else DatasetStats.from_dict(json.loads(specs["stats"]))
-    meta = json.loads(specs["meta"])
+    stats = DatasetStats.from_dict(specs["stats"]) if "stats" in specs else None
+    meta = specs["meta"]
 
     model = GestureDenoiser(config, stream(0, "checkpoint-shape-init"))
     params = model.params()

@@ -231,6 +231,52 @@ def build_training_items(samples, stats: DatasetStats, n_clip, stride):
     return items
 
 
+def _step_losses(model, batch, rng, schedule: NoiseSchedule, config: TrainConfig):
+    """Noise one batch of items, run the model, and score it.
+
+    Draws the timesteps, then the noise, then the variable-length masks from
+    ``rng``.  Returns the total loss as a graph Tensor and every term as a
+    float (0.0 for a term the loss weights switch off).
+    """
+    weights = config.weights
+    x0 = np.stack([b.x0 for b in batch])
+    audio = np.stack([b.audio for b in batch])
+    labels = np.array([b.emotion for b in batch], dtype=int)
+    speakers = np.array([b.speaker for b in batch], dtype=int)
+    b, n = x0.shape[0], x0.shape[1]
+
+    t = rng.integers(1, schedule.n_steps + 1, size=b)
+    eps = rng.normal(size=x0.shape)
+    abar = schedule.alpha_bar[t - 1].reshape(-1, 1, 1, 1)
+    x_t = np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
+    mask = None
+    if config.variable_length:
+        mask = np.stack([
+            random_proportional_mask(n, config.mask_ratio_range, rng,
+                                     mode=config.mask_mode)
+            for _ in range(b)
+        ])
+
+    cond_labels = labels if weights.use_emotion else np.zeros_like(labels)
+    cond = Condition(audio=audio, emotion_label=cond_labels, speaker=speakers)
+    eps_hat, logits, _ = model.forward(x_t, t, cond)
+
+    l_mse = loss_mse(eps, eps_hat, mask)
+    safe_abar = np.maximum(abar, ALPHA_BAR_FLOOR)
+    x0_hat = (as_tensor(x_t) - eps_hat * np.sqrt(1.0 - safe_abar)) * (
+        1.0 / np.sqrt(safe_abar)
+    )
+    l_rec = loss_rec(as_tensor(x0), x0_hat, mask) if weights.use_rec else None
+    l_ce = loss_ce(logits, labels) if weights.use_emotion else None
+    total = total_loss(l_mse, l_rec, l_ce, weights)
+    return total, {
+        "L_mse": float(l_mse.data),
+        "L_rec": float(l_rec.data) if l_rec is not None else 0.0,
+        "L_ce": float(l_ce.data) if l_ce is not None else 0.0,
+        "total": float(total.data),
+    }
+
+
 @dataclass
 class TrainResult:
     rows: list
@@ -295,13 +341,13 @@ def train(model, samples, schedule: NoiseSchedule, config: TrainConfig,
     same configs, training continues from its recorded step and reproduces
     the uninterrupted trajectory exactly.
     """
-    weights = config.weights
     start_step = 0
     stats = None
     if resume_from is not None:
         bundle = load_checkpoint(resume_from, expect_config=model.config)
+        loaded = bundle.model.params()
         for name, param in model.params().items():
-            param.data = bundle.model.params()[name].data.copy()
+            param.data = loaded[name].data.copy()
         stats = bundle.stats
         start_step = int(bundle.meta.get("step", 0))
         if start_step >= config.n_steps:
@@ -339,54 +385,16 @@ def train(model, samples, schedule: NoiseSchedule, config: TrainConfig,
 
     rows = []
     checkpoints = []
-    n_joints = items[0].x0.shape[1]
     for step in range(start_step + 1, config.n_steps + 1):
         rng = stream(config.seed, "train", step)
         idx = rng.integers(0, len(items), size=config.batch_size)
-        batch = [items[i] for i in idx]
-        x0 = np.stack([b.x0 for b in batch])
-        audio = np.stack([b.audio for b in batch])
-        labels = np.array([b.emotion for b in batch], dtype=int)
-        speakers = np.array([b.speaker for b in batch], dtype=int)
-        n = x0.shape[1]
-
-        t = rng.integers(1, schedule.n_steps + 1, size=config.batch_size)
-        eps = rng.normal(size=x0.shape)
-        abar = schedule.alpha_bar[t - 1].reshape(-1, 1, 1, 1)
-        x_t = np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
-
-        mask = None
-        if config.variable_length:
-            mask = np.stack([
-                random_proportional_mask(n, config.mask_ratio_range, rng,
-                                         mode=config.mask_mode)
-                for _ in range(config.batch_size)
-            ])
-
-        cond_labels = labels if weights.use_emotion else np.zeros_like(labels)
-        cond = Condition(audio=audio, emotion_label=cond_labels, speaker=speakers)
-        eps_hat, logits, _ = model.forward(x_t, t, cond)
-
-        l_mse = loss_mse(eps, eps_hat, mask)
-        safe_abar = np.maximum(abar, ALPHA_BAR_FLOOR)
-        x0_hat = (as_tensor(x_t) - eps_hat * np.sqrt(1.0 - safe_abar)) * (
-            1.0 / np.sqrt(safe_abar)
-        )
-        l_rec = loss_rec(as_tensor(x0), x0_hat, mask) if weights.use_rec else None
-        l_ce = loss_ce(logits, labels) if weights.use_emotion else None
-        total = total_loss(l_mse, l_rec, l_ce, weights)
+        total, losses = _step_losses(model, [items[i] for i in idx], rng, schedule, config)
 
         opt.zero_grad()
         total.backward()
         opt.step()
 
-        rows.append({
-            "step": step,
-            "L_mse": float(l_mse.data),
-            "L_rec": float(l_rec.data) if l_rec is not None else 0.0,
-            "L_ce": float(l_ce.data) if l_ce is not None else 0.0,
-            "total": float(total.data),
-        })
+        rows.append({"step": step, **losses})
         if (
             out_dir is not None
             and config.checkpoint_every
@@ -420,48 +428,15 @@ def validation_losses(model, samples, schedule: NoiseSchedule,
         raise ContractError(
             f"no validation windows of length {config.window} available"
         )
-    weights = config.weights
     sums = dict.fromkeys(("L_mse", "L_rec", "L_ce", "total"), 0.0)
     count = 0
     for chunk, off in enumerate(range(0, len(items), config.batch_size)):
         batch = items[off : off + config.batch_size]
-        rng = stream(config.seed, "val", chunk)
-        x0 = np.stack([b.x0 for b in batch])
-        audio = np.stack([b.audio for b in batch])
-        labels = np.array([b.emotion for b in batch], dtype=int)
-        speakers = np.array([b.speaker for b in batch], dtype=int)
-        b, n = x0.shape[0], x0.shape[1]
-
-        t = rng.integers(1, schedule.n_steps + 1, size=b)
-        eps = rng.normal(size=x0.shape)
-        abar = schedule.alpha_bar[t - 1].reshape(-1, 1, 1, 1)
-        x_t = np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
-        mask = None
-        if config.variable_length:
-            mask = np.stack([
-                random_proportional_mask(n, config.mask_ratio_range, rng,
-                                         mode=config.mask_mode)
-                for _ in range(b)
-            ])
-
-        cond_labels = labels if weights.use_emotion else np.zeros_like(labels)
-        cond = Condition(audio=audio, emotion_label=cond_labels, speaker=speakers)
-        eps_hat, logits, _ = model.forward(x_t, t, cond)
-
-        l_mse = loss_mse(eps, eps_hat, mask)
-        safe_abar = np.maximum(abar, ALPHA_BAR_FLOOR)
-        x0_hat = (as_tensor(x_t) - eps_hat * np.sqrt(1.0 - safe_abar)) * (
-            1.0 / np.sqrt(safe_abar)
-        )
-        l_rec = loss_rec(as_tensor(x0), x0_hat, mask) if weights.use_rec else None
-        l_ce = loss_ce(logits, labels) if weights.use_emotion else None
-        total = total_loss(l_mse, l_rec, l_ce, weights)
-
-        sums["L_mse"] += float(l_mse.data) * b
-        sums["L_rec"] += float(l_rec.data) * b if l_rec is not None else 0.0
-        sums["L_ce"] += float(l_ce.data) * b if l_ce is not None else 0.0
-        sums["total"] += float(total.data) * b
-        count += b
+        _, losses = _step_losses(model, batch, stream(config.seed, "val", chunk),
+                                 schedule, config)
+        for key in sums:
+            sums[key] += losses[key] * len(batch)
+        count += len(batch)
     return {k: v / count for k, v in sums.items()}
 
 

@@ -178,6 +178,15 @@ class TestSample:
                      "--config", str(ws["config"])])
         assert code == 4
 
+    def test_malformed_checkpoint_header_is_parse_error(self, ws, tmp_path):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(ws["checkpoint"].read_bytes().replace(b"\nparams ", b"\nparams x", 1))
+        code = main(["sample", "--checkpoint", str(bad),
+                     "--audio", str(ws["audio"]),
+                     "--out", str(tmp_path / "x.motion"),
+                     "--config", str(ws["config"])])
+        assert code == 4
+
 
 class TestEdit:
     def test_none_mask_preserves_everything(self, ws, tmp_path):

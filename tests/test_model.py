@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,15 @@ from gesturesynth.rng import stream
 def make_model(seed=0, **overrides):
     cfg = toy_config(**overrides)
     return GestureDenoiser(cfg, stream(seed, "model-init"))
+
+
+def corrupt_header_line(path, prefix, line):
+    """Replace the first checkpoint header line that starts with prefix."""
+    header, end, blob = path.read_bytes().partition(b"end_header\n")
+    lines = header.decode("ascii").split("\n")
+    i = next(i for i, text in enumerate(lines) if text.startswith(prefix))
+    lines[i] = line
+    path.write_bytes("\n".join(lines).encode("ascii") + end + blob)
 
 
 def make_inputs(model, b=2, n=10, seed=1):
@@ -474,6 +486,21 @@ class TestCheckpoint:
         with pytest.raises(ParseError):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("prefix, line", [
+        ("params ", "params x"),
+        ("param audio_align.W ", "param audio_align.W two 20 20"),
+        ("config ", "config {not json"),
+        ("stats ", "stats {not json"),
+        ("meta ", "meta {not json"),
+    ], ids=["params-count", "param-ndim", "config", "stats", "meta"])
+    def test_malformed_header_parse_error(self, tmp_path, prefix, line):
+        p = tmp_path / "model.ckpt"
+        save_checkpoint(make_model(seed=9), p,
+                        stats=DatasetStats(mean=np.zeros(2), std=np.ones(2)))
+        corrupt_header_line(p, prefix, line)
+        with pytest.raises(ParseError):
+            load_checkpoint(p)
+
     def test_roundtrip_denoise_identical(self, tmp_path):
         model = make_model(seed=10)
         randomize_parameters(model, stream(29, "rand"))
@@ -484,3 +511,46 @@ class TestCheckpoint:
         np.testing.assert_array_equal(
             model.denoise(x, 3, cond), again.denoise(x, 3, cond)
         )
+
+
+# (listing digest, checkpoint digest) per toy configuration, recorded before
+# the parameter registry replaced the hand-kept params() lists.  The listing
+# is every (name, shape) in params() order: the order Adam steps and gradient
+# checks draw their probes in.  The checkpoint is a fresh init saved with no
+# stats or meta, so it also pins the init draws.
+REGISTRY_SNAPSHOT = {
+    "adaln": (
+        "aa8b8d1922816bbce7c2d387489382f7b73c5f44f8ecc403f9a272f7478bccf5",
+        "75dc8089ed3c4dc5ad7fc2c039fdee1bb03add78e47404853843bbc341952844",
+    ),
+    "in_context_token": (
+        "9a825257d49922594ca4660e6325845f917374a654ce5702481b9253c4f96788",
+        "a7ec870f52fcb997d988dea4feb8b11dd2553aec56d07cbc789ca3ba6f216bc0",
+    ),
+    "in_context_content": (
+        "20985f465cf2bad76236aa78770d89e51a05c62ce4f087b4accdb38c7d9f3fd4",
+        "ab2038058cd683ff9ae5a50efe0208cb04d0e6fe6c32b3c68d6e5d044e4f11e5",
+    ),
+    "cross_attention": (
+        "9f6e23b5e204507efff965162e798bf558068a1545bfe4497c0d059df143abc2",
+        "fc5a5bd2b5ce48390aa0f0f79f9c4ec640b3c3999b0b73d9a9b2e90ed74a6a95",
+    ),
+    "no_spatial_branch": (
+        "aa8b8d1922816bbce7c2d387489382f7b73c5f44f8ecc403f9a272f7478bccf5",
+        "011a893b400009b7933724818fbae7d45ea802dfaff30e5b8a8e9db5e97449c9",
+    ),
+}
+
+
+class TestParameterRegistry:
+    @pytest.mark.parametrize("case", sorted(REGISTRY_SNAPSHOT))
+    def test_names_shapes_and_checkpoint_bytes_unchanged(self, tmp_path, case):
+        overrides = ({"use_spatial_branch": False} if case == "no_spatial_branch"
+                     else {"emotion_mode": case})
+        model = GestureDenoiser(toy_config(**overrides), stream(0, "registry-snapshot"))
+        listing = [[name, list(p.data.shape)] for name, p in model.params().items()]
+        path = tmp_path / "toy.ckpt"
+        save_checkpoint(model, path)
+        digests = (hashlib.sha256(json.dumps(listing).encode()).hexdigest(),
+                   hashlib.sha256(path.read_bytes()).hexdigest())
+        assert digests == REGISTRY_SNAPSHOT[case]

@@ -1,6 +1,8 @@
 """Loss oracles, the training loop, checkpoint cadence, and resume replay."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,6 +308,33 @@ class TestTrainLoop:
         model.params()["out_head.W"].data[0, 0] = np.nan
         with pytest.raises(TrainingError):
             train(model, samples, schedule, cfg)
+
+
+def load_tracer_module():
+    """perfbench/tracing.py, imported by path: perfbench is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracedTraining:
+    def test_tracer_keeps_parameters_and_losses(self):
+        # the tracer swaps model sub-modules for proxies that are not layer
+        # classes; the registry must still find, train and save their tensors
+        plain, samples, schedule, cfg = tiny_setup(n_steps=2)
+        traced, _, _, _ = tiny_setup()
+        tracer = load_tracer_module().Tracer()
+        tracer.install(traced)
+        try:
+            assert list(traced.params()) == list(plain.params())
+            traced_rows = train(traced, samples, schedule, cfg).rows
+        finally:
+            tracer.uninstall()
+        assert traced_rows == train(plain, samples, schedule, cfg).rows
+        for name, p in plain.params().items():
+            np.testing.assert_array_equal(traced.params()[name].data, p.data)
 
 
 class TestCheckpointsAndResume:
