@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, concat, gelu, take_rows
+from .autodiff import Tensor, concat, gelu, no_grad, take_rows
 from .errors import ConfigError, ContractError, ParseError
 from .layers import (
     CrossAttention,
@@ -43,7 +43,7 @@ from .layers import (
     sinusoidal_table,
     timestep_features,
 )
-from .motion import DatasetStats
+from .motion import DatasetStats, _write_container
 
 EMOTION_MODES = ("adaln", "in_context_token", "in_context_content", "cross_attention")
 
@@ -383,7 +383,8 @@ class GestureDenoiser(Module):
     def denoise(self, x_t, t, condition: Condition) -> np.ndarray:
         """Noise prediction as a plain array; accepts (N,J,3) or (B,N,J,3)."""
         _, _, _, _, single = self._batch(x_t, condition)
-        eps, _, _ = self.forward(x_t, t, condition)
+        with no_grad():
+            eps, _, _ = self.forward(x_t, t, condition)
         return eps.data[0] if single else eps.data
 
     def as_denoiser(self, condition: Condition):
@@ -397,9 +398,7 @@ def randomize_parameters(model: GestureDenoiser, rng, scale: float = 0.05) -> No
     Sensitivity probes need all pathways active, which the neutral
     initialization deliberately is not.
     """
-    params = model.params()
-    for name in sorted(params):
-        p = params[name]
+    for _, p in sorted(model.params().items()):
         p.data = rng.normal(0.0, scale, size=p.data.shape)
 
 
@@ -424,17 +423,11 @@ def save_checkpoint(model, path, *, stats=None, meta=None, extra_arrays=None):
         "meta " + json.dumps(meta or {}, sort_keys=True),
         f"params {len(names)}",
     ]
-    blobs = []
     for name in names:
-        arr = np.ascontiguousarray(arrays[name], dtype="<f8")
-        dims = " ".join(str(s) for s in arr.shape)
-        lines.append(f"param {name} {arr.ndim} {dims}".rstrip())
-        blobs.append(arr.tobytes())
-    total = sum(len(b) for b in blobs)
-    lines.append(f"data float64 le {total}")
-    lines.append("end_header")
-    lines.append("")
-    Path(path).write_bytes("\n".join(lines).encode("ascii") + b"".join(blobs))
+        shape = np.shape(arrays[name])
+        dims = " ".join(str(s) for s in shape)
+        lines.append(f"param {name} {len(shape)} {dims}".rstrip())
+    _write_container(path, lines, *(arrays[name] for name in names))
 
 
 @dataclass

@@ -290,6 +290,13 @@ def _read_blob(reader, count):
     return np.frombuffer(blob, dtype="<f8")
 
 
+def _write_container(path, header_lines, *arrays):
+    """Header lines, the data and end_header lines, then the arrays' float64 bytes."""
+    blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
+    lines = list(header_lines) + [f"data float64 le {len(blob)}", "end_header", ""]
+    Path(path).write_bytes("\n".join(lines).encode("ascii") + blob)
+
+
 def _check_magic(reader, magic):
     text, start = reader.line()
     parts = text.split()
@@ -301,20 +308,13 @@ def _check_magic(reader, magic):
 
 def save_motion(seq: GestureSequence, path) -> None:
     """Write a gesture sequence to the self-describing motion container."""
-    n, j = seq.n_frames, seq.n_joints
-    blob = np.ascontiguousarray(seq.frames, dtype="<f8").tobytes()
-    header = "\n".join(
-        [
-            f"{_MOTION_MAGIC} {_VERSION}",
-            f"frames {n} joints {j} fps {seq.fps!r}",
-            "names " + " ".join(seq.skeleton.joint_names),
-            "parents " + " ".join(str(p) for p in seq.skeleton.parent_index),
-            f"data float64 le {len(blob)}",
-            "end_header",
-            "",
-        ]
-    )
-    Path(path).write_bytes(header.encode("ascii") + blob)
+    header = [
+        f"{_MOTION_MAGIC} {_VERSION}",
+        f"frames {seq.n_frames} joints {seq.n_joints} fps {seq.fps!r}",
+        "names " + " ".join(seq.skeleton.joint_names),
+        "parents " + " ".join(str(p) for p in seq.skeleton.parent_index),
+    ]
+    _write_container(path, header, seq.frames)
 
 
 def load_motion(path) -> GestureSequence:
@@ -352,17 +352,11 @@ def load_motion(path) -> GestureSequence:
 def save_audio(seq: AudioFeatureSequence, path) -> None:
     """Write audio features to the companion container format."""
     n, d = seq.features.shape
-    blob = np.ascontiguousarray(seq.features, dtype="<f8").tobytes()
-    header = "\n".join(
-        [
-            f"{_AUDIO_MAGIC} {_VERSION}",
-            f"frames {n} channels {d} rate {seq.source_rate_hz!r}",
-            f"data float64 le {len(blob)}",
-            "end_header",
-            "",
-        ]
-    )
-    Path(path).write_bytes(header.encode("ascii") + blob)
+    header = [
+        f"{_AUDIO_MAGIC} {_VERSION}",
+        f"frames {n} channels {d} rate {seq.source_rate_hz!r}",
+    ]
+    _write_container(path, header, seq.features)
 
 
 def load_audio(path) -> AudioFeatureSequence:

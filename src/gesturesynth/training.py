@@ -313,22 +313,18 @@ def read_loss_log(path):
 def _optimizer_arrays(opt: Adam):
     state = opt.state_dict()
     arrays = {"opt.t": np.array([float(state["t"])])}
-    for name, arr in state["m"].items():
-        arrays[f"opt.m.{name}"] = arr
-    for name, arr in state["v"].items():
-        arrays[f"opt.v.{name}"] = arr
+    for part in ("m", "v"):
+        arrays.update({f"opt.{part}.{name}": arr for name, arr in state[part].items()})
     return arrays
 
 
 def _restore_optimizer(opt: Adam, extra):
     if "opt.t" not in extra:
         raise TrainingError("checkpoint lacks optimizer state; cannot resume")
-    state = {"t": int(extra["opt.t"][0]), "m": {}, "v": {}}
-    for key, arr in extra.items():
-        if key.startswith("opt.m."):
-            state["m"][key[len("opt.m.") :]] = arr
-        elif key.startswith("opt.v."):
-            state["v"][key[len("opt.v.") :]] = arr
+    state = {"t": int(extra["opt.t"][0])}
+    for part in ("m", "v"):
+        p = f"opt.{part}."
+        state[part] = {k[len(p) :]: a for k, a in extra.items() if k.startswith(p)}
     opt.load_state_dict(state)
 
 

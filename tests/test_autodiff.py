@@ -8,6 +8,7 @@ from gesturesynth.autodiff import (
     concat,
     gelu,
     layer_norm,
+    no_grad,
     scaled_dot_attention,
     softmax,
     take_rows,
@@ -222,6 +223,20 @@ class TestMiscOps:
             return float((0.5 * v * (1 + np.tanh(c * (v + 0.044715 * v**3)))).sum())
 
         assert rel(t.grad, fd_grad(ref, x.copy())) < 1e-6
+
+    def test_no_grad_keeps_values_and_records_nothing(self):
+        rng = np.random.default_rng(17)
+        t = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        recorded = gelu(t @ w) * 2.0
+        with no_grad():
+            free = gelu(t @ w) * 2.0
+        np.testing.assert_array_equal(free.data, recorded.data)
+        assert not free.requires_grad and free._parents == ()
+        with pytest.raises(DimensionError), no_grad():
+            t @ t
+        again = t @ w
+        assert again.requires_grad and again._parents == (t, w)
 
     def test_concat_and_slice_grads(self):
         rng = np.random.default_rng(13)

@@ -370,6 +370,15 @@ class TestDenoise:
                                                 speaker=cond.speaker[:1]))
         np.testing.assert_allclose(both[0], one[0], atol=1e-10)
 
+    def test_denoise_matches_recorded_forward(self):
+        # denoise skips the backward graph; the values must not move
+        model = make_model()
+        randomize_parameters(model, stream(24, "rand"))
+        x, cond = make_inputs(model, b=2, n=9)
+        eps, _, _ = model.forward(x, 4, cond)
+        assert eps.requires_grad
+        np.testing.assert_array_equal(model.denoise(x, 4, cond), eps.data)
+
     def test_timestep_sensitivity(self):
         model = make_model()
         randomize_parameters(model, stream(22, "rand"))
