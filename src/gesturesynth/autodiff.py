@@ -345,9 +345,7 @@ def gelu(x) -> Tensor:
     x = as_tensor(x)
     a = x.data
     c = np.sqrt(2.0 / np.pi)
-    # the cube by multiplication: a**3 goes through pow, which numpy runs
-    # element by element on negative inputs, about 60 times slower
-    u = c * (a + 0.044715 * (a * a * a))
+    u = c * (a + 0.044715 * a**3)
     t = np.tanh(u)
     out = 0.5 * a * (1.0 + t)
 

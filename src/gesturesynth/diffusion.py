@@ -295,7 +295,7 @@ def seed_pose_sample(
     if k > n_frames:
         raise ConfigError(f"seed pose has {k} frames but only {n_frames} requested")
     skeleton = _skeleton_for(n_joints, skeleton)
-    seed_norm = normalize(seed, stats) if stats is not None else seed
+    seed_norm = normalize(seed, stats) if stats is not None and k else seed
     ref_norm = np.zeros((n_frames, n_joints, 3))
     ref_norm[:k] = seed_norm
     keep = np.zeros((n_frames, 1, 1), dtype=bool)

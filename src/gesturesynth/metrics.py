@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import find_peaks
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .errors import ConfigError, ContractError, MetricError, NumericError
 from .layers import Linear, Module
 from .motion import AudioFeatureSequence, DatasetStats, GestureSequence, window_starts
@@ -93,12 +93,14 @@ class GestureFeatureExtractor(Module):
 
     def encode_batch(self, clips) -> np.ndarray:
         x = np.stack([self._flatten(c) for c in clips])
-        return self._encode(Tensor(x)).data
+        with no_grad():
+            return self._encode(Tensor(x)).data
 
     def reconstruct_batch(self, clips) -> tuple:
         """(normalized inputs, reconstructions) — used for MSE reporting."""
         x = np.stack([self._flatten(c) for c in clips])
-        return x, self._decode(self._encode(Tensor(x))).data
+        with no_grad():
+            return x, self._decode(self._encode(Tensor(x))).data
 
     def reconstruction_mse(self, clips) -> float:
         x, y = self.reconstruct_batch(clips)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, softmax
+from .autodiff import Tensor, as_tensor, no_grad, softmax
 from .diffusion import ALPHA_BAR_FLOOR, NoiseSchedule
 from .errors import ConfigError, ContractError, TrainingError
 from .model import Condition, load_checkpoint, save_checkpoint
@@ -428,8 +428,9 @@ def validation_losses(model, samples, schedule: NoiseSchedule,
     count = 0
     for chunk, off in enumerate(range(0, len(items), config.batch_size)):
         batch = items[off : off + config.batch_size]
-        _, losses = _step_losses(model, batch, stream(config.seed, "val", chunk),
-                                 schedule, config)
+        with no_grad():
+            _, losses = _step_losses(model, batch, stream(config.seed, "val", chunk),
+                                     schedule, config)
         for key in sums:
             sums[key] += losses[key] * len(batch)
         count += len(batch)

@@ -325,6 +325,14 @@ class TestSamplers:
         b = sample(self.den, None, 10, 47, self.sched, stream(11, "t"))
         np.testing.assert_array_equal(a.frames, b.frames)
 
+    def test_zero_seed_frames_with_stats_identical_to_sample(self):
+        stats = DatasetStats(mean=np.full(15, 100.0), std=np.full(15, 2.0))
+        seed = np.zeros((0, 5, 3))
+        a = seed_pose_sample(self.den, None, seed, 10, self.sched, stream(11, "s"),
+                             stats=stats)
+        b = sample(self.den, None, 10, 5, self.sched, stream(11, "s"), stats=stats)
+        np.testing.assert_array_equal(a.frames, b.frames)
+
     def test_seed_longer_than_output_rejected(self):
         seed = np.zeros((8, 47, 3))
         with pytest.raises(ConfigError, match="seed"):
