@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from .errors import (
 )
 from .metrics import extract_latents, train_extractor
 from .model import GestureDenoiser, load_checkpoint
-from .motion import export_motion_csv, load_audio, load_motion, save_motion
+from .motion import _write_json, export_motion_csv, load_audio, load_motion, save_motion
 from .pipeline import edit_motion, evaluate, generate_motion, predict_emotion
 from .rng import stream
 from .training import train, validation_losses
@@ -90,9 +89,7 @@ def cmd_train(args) -> int:
     if splits.val:
         report["val"] = validation_losses(model, splits.val, cfg.schedule.build(),
                                           cfg.training, result.stats)
-    (out / "val_metrics.json").write_text(
-        json.dumps(report, sort_keys=True, indent=1) + "\n"
-    )
+    _write_json(out / "val_metrics.json", report)
     print(f"trained {result.rows[-1]['step']} steps; "
           f"final loss {result.rows[-1]['total']:.4f}; "
           f"checkpoint {result.final_checkpoint}")

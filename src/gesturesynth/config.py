@@ -7,28 +7,19 @@ default.  The file round-trips losslessly through save/load.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
+from dataclasses import dataclass, field
 
 from .corpus import CorpusConfig, toy_corpus_config
 from .diffusion import NoiseSchedule, make_schedule
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
 from .metrics import ExtractorConfig
 from .model import ModelConfig, toy_config
+from .motion import JsonConfig, _read_json, _write_json
 from .training import TrainConfig
 
 
-def _from_dict(cls, d):
-    known = {f.name for f in fields(cls)}
-    unknown = set(d) - known
-    if unknown:
-        raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return cls(**d)
-
-
 @dataclass(frozen=True)
-class ScheduleConfig:
+class ScheduleConfig(JsonConfig):
     n_steps: int = 1000
     beta_start: float = 1e-4
     beta_end: float = 0.02
@@ -40,7 +31,7 @@ class ScheduleConfig:
 
 
 @dataclass(frozen=True)
-class SampleConfig:
+class SampleConfig(JsonConfig):
     window: int = 34       # frames generated per clip
     overlap: int = 4       # crossfaded seam between consecutive clips
     variance: str = "beta"
@@ -57,7 +48,7 @@ class SampleConfig:
 
 
 @dataclass(frozen=True)
-class EvalConfig:
+class EvalConfig(JsonConfig):
     repeats: int = 10
     srgr_delta: float = 0.2
     latent_stride: int = 0  # 0 -> disjoint windows (stride = clip length)
@@ -70,7 +61,7 @@ class EvalConfig:
 
 
 @dataclass
-class RunConfig:
+class RunConfig(JsonConfig):
     model: ModelConfig = field(default_factory=ModelConfig)
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     corpus: CorpusConfig = field(default_factory=CorpusConfig)
@@ -80,62 +71,13 @@ class RunConfig:
     sample: SampleConfig = field(default_factory=SampleConfig)
     master_seed: int = 0
 
-    def to_dict(self):
-        return {
-            "model": self.model.to_dict(),
-            "schedule": asdict(self.schedule),
-            "corpus": self.corpus.to_dict(),
-            "training": self.training.to_dict(),
-            "extractor": asdict(self.extractor),
-            "evaluation": asdict(self.evaluation),
-            "sample": asdict(self.sample),
-            "master_seed": self.master_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        known = {
-            "model", "schedule", "corpus", "training", "extractor",
-            "evaluation", "sample", "master_seed",
-        }
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-        kwargs = {}
-        if "model" in d:
-            kwargs["model"] = ModelConfig.from_dict(d["model"])
-        if "schedule" in d:
-            kwargs["schedule"] = _from_dict(ScheduleConfig, d["schedule"])
-        if "corpus" in d:
-            kwargs["corpus"] = CorpusConfig.from_dict(d["corpus"])
-        if "training" in d:
-            kwargs["training"] = TrainConfig.from_dict(d["training"])
-        if "extractor" in d:
-            kwargs["extractor"] = _from_dict(ExtractorConfig, d["extractor"])
-        if "evaluation" in d:
-            kwargs["evaluation"] = _from_dict(EvalConfig, d["evaluation"])
-        if "sample" in d:
-            kwargs["sample"] = _from_dict(SampleConfig, d["sample"])
-        if "master_seed" in d:
-            kwargs["master_seed"] = int(d["master_seed"])
-        return cls(**kwargs)
-
     def validate_cross_links(self):
         """Checks spanning sections: the corpus must feed the model."""
-        if self.corpus.d_audio != self.model.d_audio_raw:
-            raise ConfigError(
-                f"corpus d_audio {self.corpus.d_audio} != model d_audio_raw "
-                f"{self.model.d_audio_raw}"
-            )
-        if self.corpus.n_joints != self.model.n_joints:
-            raise ConfigError(
-                f"corpus n_joints {self.corpus.n_joints} != model n_joints "
-                f"{self.model.n_joints}"
-            )
-        if self.corpus.n_emotions != self.model.n_emotions:
-            raise ConfigError("corpus and model disagree on emotion count")
-        if self.corpus.n_speakers != self.model.n_speakers:
-            raise ConfigError("corpus and model disagree on speaker count")
+        for corpus_key, model_key in (("d_audio", "d_audio_raw"), ("n_joints", "n_joints"),
+                                      ("n_emotions", "n_emotions"), ("n_speakers", "n_speakers")):
+            ours, theirs = getattr(self.corpus, corpus_key), getattr(self.model, model_key)
+            if ours != theirs:
+                raise ConfigError(f"corpus {corpus_key} {ours} != model {model_key} {theirs}")
         if self.training.window > self.model.n_max:
             raise ConfigError(
                 f"training window {self.training.window} exceeds model n_max "
@@ -145,18 +87,11 @@ class RunConfig:
 
 
 def save_run_config(config: RunConfig, path) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), sort_keys=True, indent=1) + "\n")
+    _write_json(path, config.to_dict())
 
 
 def load_run_config(path) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"config file not found: {path}")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}", offset=exc.pos) from exc
-    return RunConfig.from_dict(data).validate_cross_links()
+    return RunConfig.from_dict(_read_json(path)).validate_cross_links()
 
 
 def toy_run_config(**overrides) -> RunConfig:

@@ -32,8 +32,7 @@ identical sample, on any platform.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +41,9 @@ from .errors import ConfigError, ParseError
 from .motion import (
     AudioFeatureSequence,
     GestureSequence,
+    JsonConfig,
+    _read_json,
+    _write_json,
     default_skeleton,
     generic_skeleton,
     load_audio,
@@ -56,7 +58,7 @@ BEAT_SMOOTHING = 0.8  # std dev (frames) of the impulse smoothing kernel
 
 
 @dataclass(frozen=True)
-class CorpusConfig:
+class CorpusConfig(JsonConfig):
     n_emotions: int = 8
     n_speakers: int = 4
     n_joints: int = 47
@@ -92,16 +94,11 @@ class CorpusConfig:
             raise ConfigError(
                 f"emotion_cue_gain must be >= 0, got {self.emotion_cue_gain}"
             )
-        amps = self.amplitudes or tuple(
-            np.round(np.linspace(0.15, 0.5, self.n_emotions), 6)
-        )
-        factors = self.period_factors or tuple(
-            np.round(np.linspace(0.85, 1.25, self.n_emotions), 6)
-        )
-        if len(amps) != self.n_emotions or len(factors) != self.n_emotions:
-            raise ConfigError("amplitude/period tables must have one entry per emotion")
-        object.__setattr__(self, "amplitudes", tuple(float(a) for a in amps))
-        object.__setattr__(self, "period_factors", tuple(float(f) for f in factors))
+        for name, lo, hi in (("amplitudes", 0.15, 0.5), ("period_factors", 0.85, 1.25)):
+            table = getattr(self, name) or np.round(np.linspace(lo, hi, self.n_emotions), 6)
+            if len(table) != self.n_emotions:
+                raise ConfigError(f"{name} table must have one entry per emotion")
+            object.__setattr__(self, name, tuple(float(v) for v in table))
 
     @property
     def emotion_block(self) -> slice:
@@ -121,20 +118,6 @@ class CorpusConfig:
         if self.n_joints == 47:
             return default_skeleton()
         return generic_skeleton(self.n_joints)
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown corpus config keys: {sorted(unknown)}")
-        d = dict(d)
-        for key in ("beat_period", "amplitudes", "period_factors"):
-            if key in d and d[key] is not None:
-                d[key] = tuple(d[key])
-        return cls(**d)
 
 
 @dataclass
@@ -315,39 +298,58 @@ def save_corpus(config: CorpusConfig, splits: CorpusSplits, directory) -> None:
                 "beat_frames": [int(b) for b in sample.beat_frames],
                 "seed": sample.seed,
             }
-            (directory / f"{sid}.json").write_text(
-                json.dumps(sidecar, sort_keys=True, indent=1) + "\n"
-            )
+            _write_json(directory / f"{sid}.json", sidecar)
         manifest["splits"][name] = ids
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n"
-    )
+    _write_json(directory / "manifest.json", manifest)
+
+
+def _load_sample(directory, sid, config: CorpusConfig) -> CorpusSample:
+    """One saved sample; a malformed sidecar is a ParseError naming it."""
+    path = directory / f"{sid}.json"
+    sidecar = _read_json(path)
+    ints = ("emotion", "speaker", "seed")
+    if not (isinstance(sidecar, dict) and set(sidecar) == {*ints, "beat_frames"}
+            and all(type(sidecar[k]) is int for k in ints)
+            and isinstance(sidecar["beat_frames"], list)
+            and all(type(b) is int for b in sidecar["beat_frames"])
+            and 0 <= sidecar["emotion"] < config.n_emotions
+            and 0 <= sidecar["speaker"] < config.n_speakers):
+        raise ParseError(f"{path}: a sidecar holds integer emotion and speaker labels "
+                         "within the corpus config, an integer seed and integer beat_frames")
+    try:
+        return CorpusSample(
+            audio=load_audio(directory / f"{sid}.audio"),
+            motion=load_motion(directory / f"{sid}.motion"),
+            emotion=sidecar["emotion"],
+            speaker=sidecar["speaker"],
+            beat_frames=np.asarray(sidecar["beat_frames"], dtype=int),
+            seed=sidecar["seed"],
+        )
+    except ConfigError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_corpus(directory):
     """Read a saved corpus back; returns (config, splits)."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        raise ParseError(f"{directory} has no manifest.json")
+    manifest = _read_json(manifest_path)
+    names = ("train", "val", "test")
+    if not (isinstance(manifest, dict) and set(manifest) == {"config", "splits"}
+            and isinstance(manifest["splits"], dict) and set(manifest["splits"]) == set(names)
+            and all(isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+                    for ids in manifest["splits"].values())):
+        raise ParseError(f"{manifest_path}: a manifest holds a config and "
+                         "train/val/test lists of sample ids")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{manifest_path}: {exc}", offset=exc.pos) from exc
-    config = CorpusConfig.from_dict(manifest["config"])
+        config = CorpusConfig.from_dict(manifest["config"])
+    except ConfigError as exc:
+        raise ParseError(f"{manifest_path}: {exc}") from exc
     splits = CorpusSplits()
-    for name in ("train", "val", "test"):
-        for sid in manifest["splits"][name]:
-            sidecar = json.loads((directory / f"{sid}.json").read_text())
-            sample = CorpusSample(
-                audio=load_audio(directory / f"{sid}.audio"),
-                motion=load_motion(directory / f"{sid}.motion"),
-                emotion=int(sidecar["emotion"]),
-                speaker=int(sidecar["speaker"]),
-                beat_frames=np.asarray(sidecar["beat_frames"], dtype=int),
-                seed=int(sidecar["seed"]),
-            )
-            getattr(splits, name).append(sample)
+    for name in names:
+        getattr(splits, name).extend(
+            _load_sample(directory, sid, config) for sid in manifest["splits"][name]
+        )
     return config, splits
 
 

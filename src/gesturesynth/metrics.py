@@ -23,7 +23,8 @@ from scipy.signal import find_peaks
 from .autodiff import Tensor, no_grad
 from .errors import ConfigError, ContractError, MetricError, NumericError
 from .layers import Linear, Module
-from .motion import AudioFeatureSequence, DatasetStats, GestureSequence, window_starts
+from .motion import (AudioFeatureSequence, DatasetStats, GestureSequence, JsonConfig,
+                     window_starts)
 from .optim import Adam
 from .rng import stream
 
@@ -37,7 +38,7 @@ EIG_TOLERANCE = -1e-8
 
 
 @dataclass(frozen=True)
-class ExtractorConfig:
+class ExtractorConfig(JsonConfig):
     clip_length: int = 34
     latent_dim: int = 32
     hidden_dim: int = 128

@@ -26,13 +26,13 @@ works).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor, concat, gelu, no_grad, take_rows
-from .errors import ConfigError, ContractError, ParseError
+from .errors import ConfigError, ContractError, DimensionError, ParseError
 from .layers import (
     CrossAttention,
     Linear,
@@ -43,13 +43,15 @@ from .layers import (
     sinusoidal_table,
     timestep_features,
 )
-from .motion import DatasetStats, _write_container
+from .motion import (DatasetStats, JsonConfig, _HeaderReader, _VERSION, _check_magic,
+                     _json_object, _read_blob, _write_container)
+from .rng import stream
 
 EMOTION_MODES = ("adaln", "in_context_token", "in_context_content", "cross_attention")
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(JsonConfig):
     n_joints: int = 47
     n_max: int = 150
     d_audio: int = 128
@@ -75,7 +77,8 @@ class ModelConfig:
             raise ConfigError(
                 f"emotion_mode {self.emotion_mode!r} not in {EMOTION_MODES}"
             )
-        for name in ("depth_joint", "depth_temporal", "depth_fusion"):
+        for name in ("depth_joint", "depth_temporal", "depth_fusion",
+                     "heads_joint", "heads_temporal", "heads_fusion"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         for dim, heads in (
@@ -98,16 +101,6 @@ class ModelConfig:
             raise ConfigError("need at least 2 emotion classes")
         if min(self.n_joints, self.n_max, self.n_speakers) < 1:
             raise ConfigError("n_joints, n_max and n_speakers must be positive")
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        unknown = set(d) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 def toy_config(**overrides) -> ModelConfig:
@@ -315,8 +308,7 @@ class GestureDenoiser(Module):
 
     def _batch(self, x_t, condition):
         x = np.asarray(x_t, dtype=np.float64)
-        single = x.ndim == 3
-        if single:
+        if x.ndim == 3:
             x = x[None]
         if x.ndim != 4 or x.shape[2] != self.config.n_joints or x.shape[3] != 3:
             raise ContractError(
@@ -344,7 +336,7 @@ class GestureDenoiser(Module):
         speakers = np.broadcast_to(np.asarray(condition.speaker, dtype=int), (b,)).copy()
         if np.any((speakers < 0) | (speakers >= self.config.n_speakers)):
             raise ConfigError(f"speaker ids must lie in [0, {self.config.n_speakers})")
-        return x, audio, labels, speakers, single
+        return x, audio, labels, speakers
 
     def forward(self, x_t, t, condition: Condition):
         """Batched forward pass.
@@ -353,7 +345,7 @@ class GestureDenoiser(Module):
         graph Tensors, the labels are the concrete indices that selected the
         emotion embedding (ground truth when provided, argmax otherwise).
         """
-        x, audio, labels, speakers, _ = self._batch(x_t, condition)
+        x, audio, labels, speakers = self._batch(x_t, condition)
         b, n = x.shape[0], x.shape[1]
         aligned = self._align_tensor(audio, n)  # (B, N, d_audio)
         pooled = aligned.mean(axis=1)
@@ -382,10 +374,9 @@ class GestureDenoiser(Module):
 
     def denoise(self, x_t, t, condition: Condition) -> np.ndarray:
         """Noise prediction as a plain array; accepts (N,J,3) or (B,N,J,3)."""
-        _, _, _, _, single = self._batch(x_t, condition)
         with no_grad():
             eps, _, _ = self.forward(x_t, t, condition)
-        return eps.data[0] if single else eps.data
+        return eps.data[0] if np.ndim(x_t) == 3 else eps.data
 
     def as_denoiser(self, condition: Condition):
         """Adapter matching the sampler contract fn(x_t, t, _) -> eps_hat."""
@@ -407,7 +398,6 @@ def randomize_parameters(model: GestureDenoiser, rng, scale: float = 0.05) -> No
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = "GSYNCKPT"
-_CKPT_VERSION = "v1"
 
 
 def save_checkpoint(model, path, *, stats=None, meta=None, extra_arrays=None):
@@ -417,7 +407,7 @@ def save_checkpoint(model, path, *, stats=None, meta=None, extra_arrays=None):
         arrays[f"extra.{name}"] = np.asarray(arr, dtype=np.float64)
     names = sorted(arrays)
     lines = [
-        f"{_CKPT_MAGIC} {_CKPT_VERSION}",
+        f"{_CKPT_MAGIC} {_VERSION}",
         "config " + json.dumps(model.config.to_dict(), sort_keys=True),
         "stats " + ("none" if stats is None else json.dumps(stats.to_dict(), sort_keys=True)),
         "meta " + json.dumps(meta or {}, sort_keys=True),
@@ -440,15 +430,11 @@ class CheckpointBundle:
 
 def load_checkpoint(path, *, expect_config: ModelConfig = None) -> CheckpointBundle:
     """Rebuild a model from a checkpoint; config mismatches are rejected."""
-    from .motion import _HeaderReader, _read_blob  # same header discipline as motion files
-    from .rng import stream
-
     reader = _HeaderReader(Path(path).read_bytes(), path)
-    text, start = reader.line()
-    if text.split() != [_CKPT_MAGIC, _CKPT_VERSION]:
-        reader.fail(f"not a {_CKPT_MAGIC} {_CKPT_VERSION} checkpoint ({text!r})", at=start)
-    specs = {}
-    for key in ("config", "stats", "meta"):
+    _check_magic(reader, _CKPT_MAGIC)
+    specs = {"stats": None}
+    for key, decode in (("config", ModelConfig.from_dict),
+                        ("stats", DatasetStats.from_dict), ("meta", _json_object)):
         text, start = reader.line()
         if not text.startswith(key + " "):
             reader.fail(f"expected {key} line, found {text!r}", at=start)
@@ -456,14 +442,10 @@ def load_checkpoint(path, *, expect_config: ModelConfig = None) -> CheckpointBun
         if key == "stats" and body == "none":
             continue
         try:
-            specs[key] = json.loads(body)
-        except ValueError:
-            reader.fail(f"{key} line is not valid JSON", at=start)
-    text, start = reader.line()
-    parts = text.split()
-    if len(parts) != 2 or parts[0] != "params" or not parts[1].isdigit():
-        reader.fail(f"malformed params line {text!r}", at=start)
-    n_params = int(parts[1])
+            specs[key] = decode(json.loads(body))
+        except (json.JSONDecodeError, RecursionError, ConfigError, DimensionError) as exc:
+            reader.fail(f"bad {key} line: {exc}", at=start)
+    (n_params,) = reader.expect_fields([("params", int)])
     entries = []
     for _ in range(n_params):
         text, start = reader.line()
@@ -478,13 +460,11 @@ def load_checkpoint(path, *, expect_config: ModelConfig = None) -> CheckpointBun
     total = sum(int(np.prod(shape, dtype=np.int64)) for _, shape in entries)
     flat = _read_blob(reader, total)
 
-    config = ModelConfig.from_dict(specs["config"])
+    config, stats, meta = specs["config"], specs["stats"], specs["meta"]
     if expect_config is not None and config != expect_config:
         raise ConfigError(
             "checkpoint model configuration does not match the requested one"
         )
-    stats = DatasetStats.from_dict(specs["stats"]) if "stats" in specs else None
-    meta = specs["meta"]
 
     model = GestureDenoiser(config, stream(0, "checkpoint-shape-init"))
     params = model.params()

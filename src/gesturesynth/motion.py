@@ -13,8 +13,10 @@ lossless at 64-bit precision.
 from __future__ import annotations
 
 import csv
+import json
+import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -215,8 +217,84 @@ def canonicalize_rotations(frames: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# container IO
+# JSON configs and container IO
 # ---------------------------------------------------------------------------
+
+def _is_number(value):
+    """A finite JSON number; booleans are not numbers."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+class JsonConfig:
+    """Base of every config dataclass: the one codec between it and JSON.
+
+    Every field has a default, and the default fixes what JSON the field
+    takes: a nested config takes an object (decoded the same way), a tuple a
+    list of numbers (as long as the default, when that is non-empty), a float
+    any finite number (an int stays an int, so a file saves back byte for byte), and
+    any other field a value of exactly the default's type.  Missing keys keep
+    their defaults; unknown keys and wrong types raise ConfigError.
+    """
+
+    def to_dict(self):
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d):
+        _json_object(d, cls.__name__)
+        known = {f.name: f for f in fields(cls)}
+        unknown = set(d) - set(known)
+        if unknown:
+            raise ConfigError(
+                f"unknown {cls.__name__} keys {sorted(unknown)}; "
+                f"its sections/fields are {sorted(known)}"
+            )
+        return cls(**{key: _decode_field(cls, known[key], value) for key, value in d.items()})
+
+
+def _json_object(d, what="value"):
+    """d itself when it is a JSON object; otherwise a ConfigError."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(d).__name__}")
+    return d
+
+
+def _decode_field(owner, f, value):
+    default = f.default_factory() if f.default is MISSING else f.default
+    if isinstance(default, JsonConfig):
+        return type(default).from_dict(value)
+    if isinstance(default, tuple):
+        ok = (isinstance(value, (list, tuple)) and all(map(_is_number, value))
+              and (not default or len(value) == len(default)))
+        want = "a list of numbers" + (f" of length {len(default)}" if default else "")
+    elif isinstance(default, float):
+        ok, want = _is_number(value), "a number"
+    else:
+        ok, want = type(value) is type(default), f"of type {type(default).__name__}"
+    if not ok:
+        raise ConfigError(f"{owner.__name__}.{f.name} must be {want}, got {value!r}")
+    return tuple(value) if isinstance(default, tuple) else value
+
+
+def _read_json(path):
+    """Parse a JSON file; a missing, non-UTF-8 or malformed file is a ParseError."""
+    path = Path(path)
+    if not path.exists():
+        raise ParseError(f"{path}: file not found")
+    try:
+        return json.loads(path.read_bytes())
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text", offset=exc.start) from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc}", offset=exc.pos) from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
+
+
+def _write_json(path, obj):
+    """The one JSON file layout: sorted keys, one-space indent, final newline."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+
 
 _MOTION_MAGIC = "GSYNMOT"
 _AUDIO_MAGIC = "GSYNAUD"
@@ -477,43 +555,36 @@ class DatasetStats:
 
     @classmethod
     def from_dict(cls, d):
+        if not (isinstance(d, dict) and set(d) == {"mean", "std"} and all(
+                isinstance(v, list) and all(map(_is_number, v)) for v in d.values())):
+            raise ConfigError("stats must be an object of numeric mean and std lists")
         return cls(np.asarray(d["mean"]), np.asarray(d["std"]))
 
 
-def _apply_channelwise(x, n_channels, fn):
-    arr = np.asarray(x, dtype=np.float64)
+def _channelwise(seq, stats: DatasetStats, fn):
+    """Apply fn to the (frames, channels) view of a sequence or an array."""
+    if isinstance(seq, GestureSequence):
+        return seq.with_frames(_channelwise(seq.frames, stats, fn))
+    if isinstance(seq, AudioFeatureSequence):
+        return AudioFeatureSequence(_channelwise(seq.features, stats, fn),
+                                    source_rate_hz=seq.source_rate_hz)
+    arr = np.asarray(seq, dtype=np.float64)
     flat = arr.reshape(arr.shape[0], -1) if arr.ndim != 2 else arr
-    if flat.shape[1] != n_channels:
+    if flat.shape[1] != stats.n_channels:
         raise DimensionError(
-            f"data has {flat.shape[1]} channels but stats were fit on {n_channels}"
+            f"data has {flat.shape[1]} channels but stats were fit on {stats.n_channels}"
         )
     return fn(flat).reshape(arr.shape)
 
 
 def normalize(seq, stats: DatasetStats):
     """Map data to zero mean / unit variance per channel under `stats`."""
-    fn = lambda flat: (flat - stats.mean) / stats.std
-    if isinstance(seq, GestureSequence):
-        return seq.with_frames(_apply_channelwise(seq.frames, stats.n_channels, fn))
-    if isinstance(seq, AudioFeatureSequence):
-        return AudioFeatureSequence(
-            _apply_channelwise(seq.features, stats.n_channels, fn),
-            source_rate_hz=seq.source_rate_hz,
-        )
-    return _apply_channelwise(seq, stats.n_channels, fn)
+    return _channelwise(seq, stats, lambda flat: (flat - stats.mean) / stats.std)
 
 
 def denormalize(seq, stats: DatasetStats):
     """Inverse of :func:`normalize`."""
-    fn = lambda flat: flat * stats.std + stats.mean
-    if isinstance(seq, GestureSequence):
-        return seq.with_frames(_apply_channelwise(seq.frames, stats.n_channels, fn))
-    if isinstance(seq, AudioFeatureSequence):
-        return AudioFeatureSequence(
-            _apply_channelwise(seq.features, stats.n_channels, fn),
-            source_rate_hz=seq.source_rate_hz,
-        )
-    return _apply_channelwise(seq, stats.n_channels, fn)
+    return _channelwise(seq, stats, lambda flat: flat * stats.std + stats.mean)
 
 
 # ---------------------------------------------------------------------------

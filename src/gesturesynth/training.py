@@ -16,7 +16,7 @@ of an uninterrupted run would have.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .autodiff import Tensor, as_tensor, no_grad, softmax
 from .diffusion import ALPHA_BAR_FLOOR, NoiseSchedule
 from .errors import ConfigError, ContractError, TrainingError
 from .model import Condition, load_checkpoint, save_checkpoint
-from .motion import DatasetStats, normalize, random_proportional_mask, window_starts
+from .motion import DatasetStats, JsonConfig, normalize, random_proportional_mask, window_starts
 from .optim import Adam
 from .rng import stream
 
@@ -33,7 +33,7 @@ REC_STABILIZER = 1e-24  # inside the sqrt of the per-frame norm
 
 
 @dataclass(frozen=True)
-class LossWeights:
+class LossWeights(JsonConfig):
     lambda_rec: float = 1.0
     use_rec: bool = True
     use_emotion: bool = True
@@ -44,7 +44,7 @@ class LossWeights:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(JsonConfig):
     batch_size: int = 16
     n_steps: int = 2000
     lr: float = 1e-4
@@ -74,8 +74,6 @@ class TrainConfig:
         object.__setattr__(self, "mask_ratio_range", (float(lo), float(hi)))
         if self.mask_mode not in ("suffix", "scatter"):
             raise ConfigError(f"unknown mask_mode {self.mask_mode!r}")
-        if not isinstance(self.weights, LossWeights):
-            object.__setattr__(self, "weights", LossWeights(**dict(self.weights)))
 
     @property
     def window(self):
@@ -84,21 +82,6 @@ class TrainConfig:
     @property
     def window_stride(self):
         return self.vl_stride if self.variable_length else self.stride
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown training config keys: {sorted(unknown)}")
-        d = dict(d)
-        if "mask_ratio_range" in d:
-            d["mask_ratio_range"] = tuple(d["mask_ratio_range"])
-        if "weights" in d and not isinstance(d["weights"], LossWeights):
-            d["weights"] = LossWeights(**dict(d["weights"]))
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------

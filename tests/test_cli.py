@@ -7,6 +7,7 @@ enough to produce good motion.
 """
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -119,6 +120,14 @@ class TestTrain:
                      "--out", str(tmp_path / "x")])  # default full-size model
         assert code == 2
 
+    def test_broken_sidecar_is_parse_error(self, ws, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(ws["corpus"], corpus)
+        corpus.joinpath(ws["audio"].with_suffix(".json").name).write_text("{not json")
+        code = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "x"),
+                     "--config", str(ws["config"])])
+        assert code == 4
+
 
 class TestSample:
     def test_writes_motion_of_audio_length(self, ws, tmp_path):
@@ -181,6 +190,16 @@ class TestSample:
     def test_malformed_checkpoint_header_is_parse_error(self, ws, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(ws["checkpoint"].read_bytes().replace(b"\nparams ", b"\nparams x", 1))
+        code = main(["sample", "--checkpoint", str(bad),
+                     "--audio", str(ws["audio"]),
+                     "--out", str(tmp_path / "x.motion"),
+                     "--config", str(ws["config"])])
+        assert code == 4
+
+    def test_unknown_checkpoint_config_key_is_parse_error(self, ws, tmp_path):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(ws["checkpoint"].read_bytes().replace(
+            b"\nconfig {", b'\nconfig {"flux_capacitor": 1, ', 1))
         code = main(["sample", "--checkpoint", str(bad),
                      "--audio", str(ws["audio"]),
                      "--out", str(tmp_path / "x.motion"),
@@ -315,6 +334,25 @@ class TestParser:
         code = main(["gen-data", "--out", str(tmp_path / "c"),
                      "--config", str(bad), "--samples", "10"])
         assert code == 4
+
+    @pytest.mark.parametrize("bad", [
+        {"model": 5},
+        {"model": {"n_joints": "x"}},
+        {"training": {"weights": {"foo": 1}}},
+        {"schedule": []},
+        {"master_seed": "a"},
+        {"corpus": {"beat_period": [5]}},
+        {"training": {"mask_ratio_range": [0.1, 0.2, 0.3]}},
+        {"model": {"heads_joint": 0}},
+        [],
+    ], ids=["model-not-object", "field-type", "nested-unknown-key", "section-list",
+            "seed-string", "tuple-short", "tuple-long", "zero-heads", "top-level-list"])
+    def test_malformed_run_config_is_argument_error(self, tmp_path, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        code = main(["gen-data", "--out", str(tmp_path / "c"),
+                     "--config", str(path), "--samples", "10"])
+        assert code == 2
 
     def test_unknown_config_key_is_argument_error(self, ws, tmp_path):
         cfg = json.loads(ws["config"].read_text())

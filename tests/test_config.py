@@ -4,6 +4,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gesturesynth.config import (
     EvalConfig,
@@ -15,6 +17,22 @@ from gesturesynth.config import (
     toy_run_config,
 )
 from gesturesynth.errors import ConfigError, ParseError
+
+
+def key_paths(d, prefix=()):
+    """Every key path of a nested dict: the sections and all their leaves."""
+    for key, value in d.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=8,
+)
 
 
 class TestSectionValidation:
@@ -116,6 +134,31 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="n_max"):
             cfg.validate_cross_links()
 
+    @given(path=st.sampled_from(sorted(key_paths(toy_run_config().to_dict()))),
+           value=JSON_VALUES)
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_any_json_value_loads_or_is_config_error(self, path, value):
+        d = json.loads(json.dumps(toy_run_config().to_dict()))
+        *sections, key = path
+        node = d
+        for name in sections:
+            node = node[name]
+        node[key] = value
+        try:
+            RunConfig.from_dict(d).validate_cross_links()
+        except ConfigError:
+            pass
+
+    def test_saved_file_keeps_given_numbers(self, tmp_path):
+        d = toy_run_config().to_dict()
+        d["corpus"]["fps"] = 15
+        d["training"]["lr"] = 1
+        given_path, saved = tmp_path / "run.json", tmp_path / "saved.json"
+        given_path.write_text(json.dumps(d, sort_keys=True, indent=1) + "\n")
+        save_run_config(load_run_config(given_path), saved)
+        assert saved.read_bytes() == given_path.read_bytes()
+        assert b'"fps": 15,' in saved.read_bytes()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_run_config(tmp_path / "absent.json")
@@ -124,6 +167,12 @@ class TestRunConfig:
         path = tmp_path / "broken.json"
         path.write_text('{"master_seed": }')
         with pytest.raises(ParseError):
+            load_run_config(path)
+
+    def test_deeply_nested_json(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ParseError, match="nested"):
             load_run_config(path)
 
     def test_loaded_file_is_cross_checked(self, tmp_path):

@@ -334,3 +334,29 @@ class TestPersistence:
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(ParseError):
             load_corpus(tmp_path / "nowhere")
+
+    @pytest.mark.parametrize("target, corrupt", [
+        ("sidecar", lambda d: "{not json"),
+        ("sidecar", lambda d: {}),
+        ("sidecar", lambda d: {**d, "emotion": "1"}),
+        ("sidecar", lambda d: {**d, "emotion": 99}),
+        ("sidecar", lambda d: {**d, "beat_frames": [3, 2]}),
+        ("manifest", lambda d: {"splits": d["splits"]}),
+        ("manifest", lambda d: {**d, "splits": {"train": [], "test": []}}),
+        ("manifest", lambda d: {**d, "config": 5}),
+        ("manifest", lambda d: {**d, "config": {"n_emotions": "4"}}),
+        ("manifest", lambda d: {**d, "config": {"flavor": "salt"}}),
+        ("manifest", lambda d: []),
+    ], ids=["sidecar-json", "sidecar-empty", "sidecar-type", "sidecar-range",
+            "sidecar-beats", "no-config", "no-val", "config-not-object",
+            "config-type", "config-unknown-key", "manifest-not-object"])
+    def test_malformed_corpus_parse_error(self, tmp_path, target, corrupt):
+        cfg = toy_corpus_config()
+        splits = generate_corpus(cfg, 10)
+        save_corpus(cfg, splits, tmp_path)
+        name = ("manifest" if target == "manifest"
+                else f"sample_{splits.val[0].seed:05d}") + ".json"
+        bad = corrupt(json.loads((tmp_path / name).read_text()))
+        (tmp_path / name).write_text(bad if isinstance(bad, str) else json.dumps(bad))
+        with pytest.raises(ParseError, match=name):
+            load_corpus(tmp_path)

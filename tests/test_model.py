@@ -60,6 +60,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="emotion_mode"):
             toy_config(emotion_mode="telepathy")
 
+    @pytest.mark.parametrize("heads", ["heads_joint", "heads_temporal", "heads_fusion"])
+    def test_zero_heads_rejected(self, heads):
+        with pytest.raises(ConfigError, match=heads):
+            toy_config(**{heads: 0})
+
     def test_fusion_dim_must_match_temporal(self):
         with pytest.raises(ConfigError, match="d_fusion"):
             toy_config(d_fusion=64)
@@ -501,7 +506,14 @@ class TestCheckpoint:
         ("config ", "config {not json"),
         ("stats ", "stats {not json"),
         ("meta ", "meta {not json"),
-    ], ids=["params-count", "param-ndim", "config", "stats", "meta"])
+        ("config ", "config 5"),
+        ("config ", 'config {"n_joints": "x"}'),
+        ("stats ", "stats {}"),
+        ("meta ", "meta 5"),
+        ("meta ", "meta " + "[" * 100_000 + "]" * 100_000),
+    ], ids=["params-count", "param-ndim", "config", "stats", "meta",
+            "config-not-object", "config-field-type", "stats-empty", "meta-not-object",
+            "meta-nested"])
     def test_malformed_header_parse_error(self, tmp_path, prefix, line):
         p = tmp_path / "model.ckpt"
         save_checkpoint(make_model(seed=9), p,
