@@ -44,12 +44,11 @@ from .motion import (
     JsonConfig,
     _read_json,
     _write_json,
-    default_skeleton,
-    generic_skeleton,
     load_audio,
     load_motion,
     save_audio,
     save_motion,
+    skeleton_for,
 )
 from .rng import stream
 
@@ -113,11 +112,6 @@ class CorpusConfig(JsonConfig):
     def phase_channels(self) -> tuple:
         base = 2 + 2 * self.n_emotions
         return (base, base + 1)
-
-    def skeleton(self):
-        if self.n_joints == 47:
-            return default_skeleton()
-        return generic_skeleton(self.n_joints)
 
 
 @dataclass
@@ -209,7 +203,7 @@ def generate_sample(config: CorpusConfig, emotion: int, speaker: int, seed: int)
 
     return CorpusSample(
         audio=AudioFeatureSequence(audio, source_rate_hz=config.fps),
-        motion=GestureSequence(motion, fps=config.fps, skeleton=config.skeleton()),
+        motion=GestureSequence(motion, fps=config.fps, skeleton=skeleton_for(config.n_joints)),
         emotion=emotion,
         speaker=speaker,
         beat_frames=beat_frames,

@@ -10,10 +10,11 @@ process walks t = T..1, each step forming the mean
     mu = (x_t - beta_t / sqrt(1 - abar_t) * eps_hat) / sqrt(alpha_t)
 
 from the model's noise estimate and adding sigma_t * z (z = 0 on the last
-step).  The editing samplers reuse the same chain but pin a subset of joints
-or frames to a reference motion: at every step the pinned entries are
-replaced with the forward corruption of the reference at that step, and after
-the final step they are overwritten with the reference exactly.
+step).  The samplers call ``denoiser(x_t, t, condition)`` for eps_hat;
+``GestureDenoiser.denoise`` is one.  All of them run one chain that may pin
+a subset of joints or frames to a reference motion: at every step the pinned
+entries are replaced with the forward corruption of the reference at that
+step, and after the final step they are overwritten with the reference exactly.
 
 Timesteps are 1-based: t = 1 is the least-noised level and abar at t = 0 is
 defined as 1 (identity).
@@ -24,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ContractError, NumericError
-from .motion import DatasetStats, GestureSequence, denormalize, normalize
+from .motion import DatasetStats, GestureSequence, denormalize, normalize, skeleton_for
 
 ALPHA_BAR_FLOOR = 1e-12
 
@@ -147,58 +148,34 @@ def reverse_step(x_t, t, eps_hat, schedule: NoiseSchedule, rng, variance: str = 
     return mean + np.sqrt(var) * rng.standard_normal(x_t.shape)
 
 
-def _call_denoiser(denoiser, x, t, condition):
-    eps_hat = np.asarray(denoiser(x, t, condition), dtype=np.float64)
-    if eps_hat.shape != x.shape:
-        raise ContractError(
-            f"denoiser returned shape {eps_hat.shape} for input shape {x.shape}"
-        )
-    return eps_hat
+def _pinned_sample(denoiser, condition, ref, keep, schedule, rng, stats, skeleton,
+                   fps, variance):
+    """The reverse chain with the entries where `keep` is True pinned to `ref`.
 
-
-def _masked_chain(
-    denoiser,
-    condition,
-    shape,
-    schedule,
-    rng,
-    ref_norm=None,
-    keep=None,
-    variance="beta",
-):
-    """Run the reverse chain; entries where `keep` is True track `ref_norm`.
-
-    `keep` broadcasts against `shape`.  When nothing is kept the chain is the
-    plain sampler and consumes exactly the same RNG draws, so editing with an
-    all-regenerate mask replays unconditional sampling bit for bit.
+    `ref` is (N, J, 3) in data space; `keep` broadcasts against it.  The RNG
+    draws depend only on whether anything is kept, so pinning nothing is
+    ``sample`` bit for bit.
     """
-    x = rng.standard_normal(shape)
-    pin = keep is not None and bool(np.any(keep))
+    if skeleton is None:
+        skeleton = skeleton_for(ref.shape[1])
+    ref_norm = normalize(ref, stats) if stats is not None else ref
+    pin = bool(np.any(keep))
+    x = rng.standard_normal(ref.shape)
     for t in range(schedule.n_steps, 0, -1):
         if pin:
-            noisy_ref = q_sample(ref_norm, t, rng.standard_normal(shape), schedule)
+            noisy_ref = q_sample(ref_norm, t, rng.standard_normal(ref.shape), schedule)
             x = np.where(keep, noisy_ref, x)
-        eps_hat = _call_denoiser(denoiser, x, t, condition)
+        eps_hat = np.asarray(denoiser(x, t, condition), dtype=np.float64)
+        if eps_hat.shape != x.shape:
+            raise ContractError(
+                f"denoiser returned shape {eps_hat.shape} for input shape {x.shape}"
+            )
         x = reverse_step(x, t, eps_hat, schedule, rng, variance=variance)
-    return x
-
-
-def _finish(x, stats, skeleton, fps):
     if stats is not None:
         x = denormalize(x, stats)
     if not np.all(np.isfinite(x)):
         raise NumericError("sampler produced non-finite values")
-    return GestureSequence(x, fps=fps, skeleton=skeleton)
-
-
-def _skeleton_for(n_joints, skeleton):
-    """The given skeleton, else the default one if the joint count fits, else a chain."""
-    from .motion import default_skeleton, generic_skeleton
-
-    if skeleton is not None:
-        return skeleton
-    default = default_skeleton()
-    return default if n_joints == default.joint_count else generic_skeleton(n_joints)
+    return GestureSequence(np.where(keep, ref, x), fps=fps, skeleton=skeleton)
 
 
 def sample(
@@ -215,11 +192,8 @@ def sample(
     variance: str = "beta",
 ) -> GestureSequence:
     """Generate a sequence from pure noise under the given condition."""
-    skeleton = _skeleton_for(n_joints, skeleton)
-    x = _masked_chain(
-        denoiser, condition, (n_frames, n_joints, 3), schedule, rng, variance=variance
-    )
-    return _finish(x, stats, skeleton, fps)
+    return _pinned_sample(denoiser, condition, np.zeros((n_frames, n_joints, 3)), False,
+                          schedule, rng, stats, skeleton, fps, variance)
 
 
 def inpaint_sample(
@@ -233,37 +207,17 @@ def inpaint_sample(
     stats: DatasetStats = None,
     variance: str = "beta",
 ) -> GestureSequence:
-    """Regenerate the joints marked True while preserving the rest of x_ref.
-
-    Preserved joints are pinned to the forward corruption of the reference at
-    every step and copied from the reference exactly after the last one.
-    """
-    joint_mask = np.asarray(joint_mask, dtype=bool)
+    """Regenerate the joints marked True while preserving the rest of x_ref."""
     if x_ref is None:
-        if not joint_mask.all():
-            raise ConfigError("a reference motion is required unless every joint is regenerated")
-        raise ConfigError("inpaint_sample without a reference: use sample() instead")
-    ref_seq = x_ref if isinstance(x_ref, GestureSequence) else GestureSequence(x_ref)
-    if joint_mask.shape != (ref_seq.n_joints,):
+        raise ConfigError("inpaint_sample needs a reference motion; use sample() without one")
+    joint_mask = np.asarray(joint_mask, dtype=bool)
+    ref = x_ref if isinstance(x_ref, GestureSequence) else GestureSequence(x_ref)
+    if joint_mask.shape != (ref.n_joints,):
         raise ConfigError(
-            f"joint mask must have length {ref_seq.n_joints}, got shape {joint_mask.shape}"
+            f"joint mask must have length {ref.n_joints}, got shape {joint_mask.shape}"
         )
-    ref_raw = ref_seq.frames
-    ref_norm = normalize(ref_raw, stats) if stats is not None else ref_raw
-    keep = ~joint_mask.reshape(1, -1, 1)
-    x = _masked_chain(
-        denoiser,
-        condition,
-        ref_raw.shape,
-        schedule,
-        rng,
-        ref_norm=ref_norm,
-        keep=keep,
-        variance=variance,
-    )
-    out = _finish(x, stats, ref_seq.skeleton, ref_seq.fps)
-    out.frames = np.where(keep, ref_raw, out.frames)
-    return out
+    return _pinned_sample(denoiser, condition, ref.frames, ~joint_mask.reshape(1, -1, 1),
+                          schedule, rng, stats, ref.skeleton, ref.fps, variance)
 
 
 def seed_pose_sample(
@@ -291,25 +245,11 @@ def seed_pose_sample(
         seed = np.asarray(seed_pose, dtype=np.float64)
     if seed.ndim != 3 or seed.shape[2] != 3:
         raise ConfigError(f"seed pose must be (k, J, 3), got {seed.shape}")
-    k, n_joints = seed.shape[0], seed.shape[1]
+    k = seed.shape[0]
     if k > n_frames:
         raise ConfigError(f"seed pose has {k} frames but only {n_frames} requested")
-    skeleton = _skeleton_for(n_joints, skeleton)
-    seed_norm = normalize(seed, stats) if stats is not None and k else seed
-    ref_norm = np.zeros((n_frames, n_joints, 3))
-    ref_norm[:k] = seed_norm
-    keep = np.zeros((n_frames, 1, 1), dtype=bool)
-    keep[:k] = True
-    x = _masked_chain(
-        denoiser,
-        condition,
-        (n_frames, n_joints, 3),
-        schedule,
-        rng,
-        ref_norm=ref_norm,
-        keep=keep,
-        variance=variance,
-    )
-    out = _finish(x, stats, skeleton, fps)
-    out.frames[:k] = seed
-    return out
+    ref = np.zeros((n_frames,) + seed.shape[1:])
+    ref[:k] = seed
+    keep = (np.arange(n_frames) < k).reshape(-1, 1, 1)
+    return _pinned_sample(denoiser, condition, ref, keep, schedule, rng, stats, skeleton,
+                          fps, variance)

@@ -378,10 +378,6 @@ class GestureDenoiser(Module):
             eps, _, _ = self.forward(x_t, t, condition)
         return eps.data[0] if np.ndim(x_t) == 3 else eps.data
 
-    def as_denoiser(self, condition: Condition):
-        """Adapter matching the sampler contract fn(x_t, t, _) -> eps_hat."""
-        return lambda x_t, t, _cond: self.denoise(x_t, t, condition)
-
 
 def randomize_parameters(model: GestureDenoiser, rng, scale: float = 0.05) -> None:
     """Fill every parameter (including zero-init heads) with small noise.

@@ -110,6 +110,16 @@ def generic_skeleton(joint_count: int) -> SkeletonSpec:
     return SkeletonSpec(names, parents)
 
 
+_DEFAULT_JOINT_COUNT = default_skeleton().joint_count
+
+
+def skeleton_for(joint_count: int) -> SkeletonSpec:
+    """The default skeleton when it has `joint_count` joints, else a generic chain."""
+    if joint_count == _DEFAULT_JOINT_COUNT:
+        return default_skeleton()
+    return generic_skeleton(joint_count)
+
+
 def joint_group_mask(skeleton: SkeletonSpec, group: str) -> np.ndarray:
     """Boolean mask of length J selecting a named joint group.
 
@@ -421,10 +431,10 @@ def load_motion(path) -> GestureSequence:
         )
     flat = _read_blob(reader, n * j * 3)
     try:
-        skeleton = SkeletonSpec(names, parents)
-    except ConfigError as exc:
+        return GestureSequence(flat.reshape(n, j, 3).copy(), fps=fps,
+                               skeleton=SkeletonSpec(names, parents))
+    except (ConfigError, DimensionError) as exc:
         reader.fail(str(exc), at=0)
-    return GestureSequence(flat.reshape(n, j, 3).copy(), fps=fps, skeleton=skeleton)
 
 
 def save_audio(seq: AudioFeatureSequence, path) -> None:
@@ -443,8 +453,13 @@ def load_audio(path) -> AudioFeatureSequence:
     n, d, rate = reader.expect_fields(
         [("frames", int), ("channels", int), ("rate", float)]
     )
+    if n < 1:
+        reader.fail("frame count must be at least 1", at=0)
     flat = _read_blob(reader, n * d)
-    return AudioFeatureSequence(flat.reshape(n, d).copy(), source_rate_hz=rate)
+    try:
+        return AudioFeatureSequence(flat.reshape(n, d).copy(), source_rate_hz=rate)
+    except DimensionError as exc:
+        reader.fail(str(exc), at=0)
 
 
 def export_motion_csv(seq: GestureSequence, path) -> None:

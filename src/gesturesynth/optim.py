@@ -44,11 +44,14 @@ class Adam:
         }
 
     def load_state_dict(self, state):
+        """Restore t, m and v; a missing or mis-sized moment is a TrainingError."""
         self.t = int(state["t"])
-        for k in self.params:
-            self.m[k] = np.asarray(state["m"][k], dtype=np.float64).reshape(
-                self.m[k].shape
-            )
-            self.v[k] = np.asarray(state["v"][k], dtype=np.float64).reshape(
-                self.v[k].shape
-            )
+        for part, moments in (("m", self.m), ("v", self.v)):
+            for k, old in moments.items():
+                new = state[part].get(k)
+                if new is None or np.size(new) != old.size:
+                    raise TrainingError(
+                        f"optimizer state {part}.{k} is missing or not of shape "
+                        f"{old.shape}; cannot resume"
+                    )
+                moments[k] = np.asarray(new, dtype=np.float64).reshape(old.shape)

@@ -90,22 +90,19 @@ def generate_motion(
     spans = _window_plan(n_total, sample_cfg.window, sample_cfg.overlap)
     n_joints = model.config.n_joints
     clips = []
-    prev_tail = None
     for i, (s, e) in enumerate(spans):
         rng = stream(master_seed, *seed_labels, "generate", i)
         cond = Condition(audio=raw[s:e], emotion_label=label, speaker=speaker)
-        denoiser = model.as_denoiser(cond)
         if i == 0 and seed_pose is None:
-            clip = sample(denoiser, cond, e - s, n_joints, schedule, rng,
+            clip = sample(model.denoise, cond, e - s, n_joints, schedule, rng,
                           stats=stats, fps=fps, variance=sample_cfg.variance)
         else:
             pin = seed_pose if i == 0 else prev_tail
-            clip = seed_pose_sample(denoiser, cond, pin, e - s, schedule, rng,
+            clip = seed_pose_sample(model.denoise, cond, pin, e - s, schedule, rng,
                                     stats=stats, fps=fps,
                                     variance=sample_cfg.variance)
         clips.append(clip)
-        if sample_cfg.overlap:
-            prev_tail = clip.frames[-sample_cfg.overlap :]
+        prev_tail = clip.frames[clip.n_frames - sample_cfg.overlap :]
     if len(clips) == 1:
         return clips[0]
     return stitch(clips, overlap=sample_cfg.overlap)
@@ -164,7 +161,7 @@ def edit_motion(
     label = predict_emotion(model, raw) if emotion is None else int(emotion)
     cond = Condition(audio=raw, emotion_label=label, speaker=speaker)
     rng = stream(master_seed, "edit")
-    return inpaint_sample(model.as_denoiser(cond), cond, reference, mask,
+    return inpaint_sample(model.denoise, cond, reference, mask,
                           schedule, rng, stats=stats, variance=variance)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .autodiff import Tensor, as_tensor, no_grad, softmax
 from .diffusion import ALPHA_BAR_FLOOR, NoiseSchedule
-from .errors import ConfigError, ContractError, TrainingError
+from .errors import ConfigError, ContractError, ParseError, TrainingError
 from .model import Condition, load_checkpoint, save_checkpoint
 from .motion import DatasetStats, JsonConfig, normalize, random_proportional_mask, window_starts
 from .optim import Adam
@@ -302,9 +302,10 @@ def _optimizer_arrays(opt: Adam):
 
 
 def _restore_optimizer(opt: Adam, extra):
-    if "opt.t" not in extra:
-        raise TrainingError("checkpoint lacks optimizer state; cannot resume")
-    state = {"t": int(extra["opt.t"][0])}
+    t = extra.get("opt.t", np.empty(0))
+    if t.shape != (1,) or not (t[0] >= 0 and float(t[0]).is_integer()):
+        raise TrainingError("checkpoint lacks a valid optimizer state (opt.t); cannot resume")
+    state = {"t": int(t[0])}
     for part in ("m", "v"):
         p = f"opt.{part}."
         state[part] = {k[len(p) :]: a for k, a in extra.items() if k.startswith(p)}
@@ -328,7 +329,10 @@ def train(model, samples, schedule: NoiseSchedule, config: TrainConfig,
         for name, param in model.params().items():
             param.data = loaded[name].data.copy()
         stats = bundle.stats
-        start_step = int(bundle.meta.get("step", 0))
+        start_step = bundle.meta.get("step", 0)
+        if type(start_step) is not int or start_step < 0:
+            raise ParseError(f"{resume_from}: meta step must be an int >= 0, "
+                             f"got {start_step!r}")
         if start_step >= config.n_steps:
             raise ConfigError(
                 f"checkpoint already at step {start_step} >= n_steps {config.n_steps}"

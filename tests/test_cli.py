@@ -23,6 +23,7 @@ from gesturesynth.config import (
 )
 from gesturesynth.corpus import load_corpus
 from gesturesynth.metrics import ExtractorConfig
+from gesturesynth.model import load_checkpoint, save_checkpoint
 from gesturesynth.motion import load_motion
 from gesturesynth.training import TrainConfig, read_loss_log
 
@@ -127,6 +128,20 @@ class TestTrain:
         code = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "x"),
                      "--config", str(ws["config"])])
         assert code == 4
+
+    @pytest.mark.parametrize("meta_step, drop, expected", [
+        ("x", None, 4), (1, "opt.m.out_head.W", 3),
+    ], ids=["bad-step", "missing-moment"])
+    def test_corrupt_resume_checkpoint_exit_code(self, ws, tmp_path, meta_step, drop,
+                                                 expected):
+        bundle = load_checkpoint(ws["checkpoint"])
+        extra = {k: v for k, v in bundle.extra_arrays.items() if k != drop}
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bundle.model, bad, stats=bundle.stats,
+                        meta={**bundle.meta, "step": meta_step}, extra_arrays=extra)
+        code = main(["train", "--corpus", str(ws["corpus"]), "--out", str(tmp_path / "x"),
+                     "--config", str(ws["config"]), "--resume", str(bad)])
+        assert code == expected
 
 
 class TestSample:
@@ -274,6 +289,15 @@ class TestExport:
                      str(ws["motion"]), "--out", str(out)]) == 0
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 34  # header + one row per frame
+
+    def test_nonfinite_motion_is_parse_error(self, ws, tmp_path, capsys):
+        bad = tmp_path / "nan.motion"
+        data = ws["motion"].read_bytes()
+        bad.write_bytes(data[:-8] + np.array([np.nan]).astype("<f8").tobytes())
+        code = main(["export", "--format", "csv", "--motion", str(bad),
+                     "--out", str(tmp_path / "motion.csv")])
+        assert code == 4
+        assert "nan.motion" in capsys.readouterr().err
 
     def test_svg_frame_count(self, ws, tmp_path):
         out = tmp_path / "figures"

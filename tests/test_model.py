@@ -3,6 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_motion import corruptions
 
 from gesturesynth.autodiff import Tensor
 from gesturesynth.errors import ConfigError, ContractError, ParseError
@@ -453,6 +456,15 @@ class TestDenoise:
         assert report.passed, report.summary()
 
 
+@pytest.fixture(scope="module")
+def checkpoint_file(tmp_path_factory):
+    p = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    save_checkpoint(make_model(seed=11), p,
+                    stats=DatasetStats(mean=np.zeros(18), std=np.ones(18)),
+                    meta={"step": 2}, extra_arrays={"opt.t": np.array([2.0])})
+    return p
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         model = make_model(seed=5)
@@ -521,6 +533,16 @@ class TestCheckpoint:
         corrupt_header_line(p, prefix, line)
         with pytest.raises(ParseError):
             load_checkpoint(p)
+
+    @given(data=st.data())
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_corrupt_checkpoint_loads_or_parse_error(self, checkpoint_file, data):
+        bad = checkpoint_file.with_name("bad.ckpt")
+        bad.write_bytes(data.draw(corruptions(checkpoint_file.read_bytes())))
+        try:
+            load_checkpoint(bad)
+        except ParseError:
+            pass
 
     def test_roundtrip_denoise_identical(self, tmp_path):
         model = make_model(seed=10)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gesturesynth.errors import ConfigError, DimensionError, ParseError
 from gesturesynth.motion import (
@@ -11,6 +13,7 @@ from gesturesynth.motion import (
     default_skeleton,
     denormalize,
     export_motion_csv,
+    generic_skeleton,
     joint_group_mask,
     load_audio,
     load_motion,
@@ -18,6 +21,7 @@ from gesturesynth.motion import (
     random_proportional_mask,
     save_audio,
     save_motion,
+    skeleton_for,
     stitch,
     window,
     window_starts,
@@ -29,6 +33,27 @@ def make_seq(n=10, j=None, seed=0, fps=15.0):
     j = j or skel.joint_count
     rng = np.random.default_rng(seed)
     return GestureSequence(rng.normal(scale=0.5, size=(n, j, 3)), fps=fps, skeleton=skel)
+
+
+def corruptions(data):
+    """`data` cut at any offset, or with any one byte overwritten.
+
+    Half the offsets fall in the header and half in the data.  Written bytes
+    favour the header's separators and digits and 0x7F/0xFF: a float64 in
+    [1, 2) turns infinite or NaN when its top byte becomes one of those two.
+    """
+    header = data.index(b"end_header\n") + len(b"end_header\n")
+    at = st.one_of(st.integers(0, header), st.integers(header, len(data) - 1))
+    cut = at.map(lambda i: data[:i])
+    byte = st.one_of(st.integers(0, 255), st.sampled_from(b"\x00\n -09\x7f\xff"))
+    poke = st.tuples(at, byte).map(
+        lambda p: data[: p[0]] + bytes([p[1]]) + data[p[0] + 1 :])
+    return st.one_of(cut, poke)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
 
 
 class TestSkeleton:
@@ -61,6 +86,10 @@ class TestSkeleton:
     def test_unknown_group_rejected(self):
         with pytest.raises(ConfigError, match="unknown joint group"):
             joint_group_mask(default_skeleton(), "feet")
+
+    def test_skeleton_for_joint_count(self):
+        assert skeleton_for(47) == default_skeleton()
+        assert skeleton_for(6) == generic_skeleton(6)
 
     def test_duplicate_names_rejected(self):
         from gesturesynth.motion import SkeletonSpec
@@ -133,6 +162,49 @@ class TestContainerIO:
         with pytest.raises(ParseError) as err:
             load_motion(p)
         assert err.value.offset == data.find(b"end_header") + len(b"end_header\n")
+
+    def test_nonfinite_motion_blob_reports_file(self, tmp_path):
+        p = tmp_path / "nan.motion"
+        save_motion(make_seq(n=2), p)
+        p.write_bytes(p.read_bytes()[:-8] + np.array([np.nan]).astype("<f8").tobytes())
+        with pytest.raises(ParseError, match="nan.motion.*non-finite"):
+            load_motion(p)
+
+    def test_nonfinite_audio_blob_reports_file(self, tmp_path):
+        p = tmp_path / "inf.audio"
+        save_audio(AudioFeatureSequence(np.ones((3, 4))), p)
+        p.write_bytes(p.read_bytes()[:-8] + np.array([np.inf]).astype("<f8").tobytes())
+        with pytest.raises(ParseError, match="inf.audio.*non-finite"):
+            load_audio(p)
+
+    def test_zero_frame_audio_reports_file(self, tmp_path):
+        p = tmp_path / "empty.audio"
+        p.write_bytes(b"GSYNAUD v1\nframes 0 channels 4 rate 15.0\n"
+                      b"data float64 le 0\nend_header\n")
+        with pytest.raises(ParseError, match="empty.audio.*frame count"):
+            load_audio(p)
+
+    @given(data=st.data())
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    def test_corrupt_motion_loads_or_parse_error(self, fuzz_dir, data):
+        p = fuzz_dir / "clip.motion"
+        save_motion(GestureSequence(np.full((2, 3, 3), 1.5), skeleton=generic_skeleton(3)), p)
+        p.write_bytes(data.draw(corruptions(p.read_bytes())))
+        try:
+            load_motion(p)
+        except ParseError:
+            pass
+
+    @given(data=st.data())
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    def test_corrupt_audio_loads_or_parse_error(self, fuzz_dir, data):
+        p = fuzz_dir / "feat.audio"
+        save_audio(AudioFeatureSequence(np.full((4, 6), 1.5)), p)
+        p.write_bytes(data.draw(corruptions(p.read_bytes())))
+        try:
+            load_audio(p)
+        except ParseError:
+            pass
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.motion"

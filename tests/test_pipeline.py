@@ -117,6 +117,16 @@ class TestGenerateMotion:
         assert out.frames.shape == (60, 6, 3)
         assert np.all(np.isfinite(out.frames))
 
+    def test_zero_overlap_concatenates_independent_windows(self, model, schedule):
+        audio = make_audio(60)
+        cfg = SampleConfig(window=34, overlap=0)
+        out = generate_motion(model, audio, schedule, sample_cfg=cfg, emotion=2,
+                              master_seed=3)
+        first = generate_motion(model, audio[:34], schedule, sample_cfg=cfg, emotion=2,
+                                master_seed=3)
+        assert out.n_frames == 60
+        assert_array_equal(out.frames[:34], first.frames)
+
     def test_deterministic_under_master_seed(self, model, schedule):
         audio = make_audio(40)
         cfg = SampleConfig(window=20, overlap=4)

@@ -10,9 +10,9 @@ import pytest
 from gesturesynth.autodiff import Tensor, as_tensor
 from gesturesynth.corpus import generate_corpus, toy_corpus_config
 from gesturesynth.diffusion import make_schedule
-from gesturesynth.errors import ConfigError, ContractError, TrainingError
+from gesturesynth.errors import ConfigError, ContractError, ParseError, TrainingError
 from gesturesynth.gradcheck import finite_diff_check
-from gesturesynth.model import GestureDenoiser, load_checkpoint, toy_config
+from gesturesynth.model import GestureDenoiser, load_checkpoint, save_checkpoint, toy_config
 from gesturesynth.motion import DatasetStats
 from gesturesynth.rng import stream
 from gesturesynth.training import (
@@ -378,13 +378,40 @@ class TestCheckpointsAndResume:
             train(model, samples, schedule, cfg,
                   resume_from=tmp_path / "checkpoint_final.ckpt")
 
+    @pytest.mark.parametrize("key, value, error, match", [
+        ("step", "x", ParseError, "step"),
+        ("step", [1], ParseError, "step"),
+        ("step", -1, ParseError, "step"),
+        ("step", True, ParseError, "step"),
+        ("opt.m.out_head.W", None, TrainingError, "m.out_head.W"),
+        ("opt.v.out_head.b", np.zeros(2), TrainingError, "v.out_head.b"),
+        ("opt.t", np.array([np.nan]), TrainingError, "optimizer state"),
+        ("opt.t", np.zeros(0), TrainingError, "optimizer state"),
+    ], ids=["step-str", "step-list", "step-negative", "step-bool", "moment-missing",
+            "moment-size", "t-nan", "t-empty"])
+    def test_corrupt_resume_state_rejected(self, tmp_path, key, value, error, match):
+        model, samples, schedule, _ = tiny_setup()
+        cfg = TrainConfig(batch_size=2, n_steps=4, lr=1e-3, seed=5, checkpoint_every=2)
+        train(model, samples, schedule, cfg, out_dir=tmp_path)
+        bundle = load_checkpoint(tmp_path / "checkpoint_000002.ckpt")
+        meta, extra = dict(bundle.meta), dict(bundle.extra_arrays)
+        if key == "step":
+            meta[key] = value
+        elif value is None:
+            del extra[key]
+        else:
+            extra[key] = value
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bundle.model, bad, stats=bundle.stats, meta=meta,
+                        extra_arrays=extra)
+        with pytest.raises(error, match=match):
+            train(model, samples, schedule, cfg, resume_from=bad)
+
     def test_checkpoint_save_load_save_byte_identical(self, tmp_path):
         model, samples, schedule, cfg = tiny_setup()
         train(model, samples, schedule, cfg, out_dir=tmp_path)
         first = (tmp_path / "checkpoint_final.ckpt").read_bytes()
         bundle = load_checkpoint(tmp_path / "checkpoint_final.ckpt")
-        from gesturesynth.model import save_checkpoint
-
         save_checkpoint(bundle.model, tmp_path / "again.ckpt",
                         stats=bundle.stats, meta=bundle.meta,
                         extra_arrays=bundle.extra_arrays)
