@@ -27,6 +27,7 @@ from .errors import (
     ParseError,
     TrainingError,
 )
+from .experiments import ABLATION_VARIANTS, ablate
 from .metrics import extract_latents, train_extractor
 from .model import GestureDenoiser, load_checkpoint
 from .motion import _write_json, export_motion_csv, load_audio, load_motion, save_motion
@@ -63,25 +64,17 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _run_config(args)
-    corpus_cfg, splits = load_corpus(args.corpus)
-    cfg.corpus = corpus_cfg
-    model_cfg = cfg.model
-    weights = cfg.training.weights
-    if args.no_rec:
-        weights = dataclasses.replace(weights, use_rec=False)
-    if args.no_emotion:
-        weights = dataclasses.replace(weights, use_emotion=False)
-    if args.no_jcformer_spatial:
-        model_cfg = dataclasses.replace(model_cfg, use_spatial_branch=False)
-    cfg.model = model_cfg
-    cfg.training = dataclasses.replace(cfg.training, weights=weights)
+    cfg.corpus, splits = load_corpus(args.corpus)
+    for variant in ABLATION_VARIANTS[1:]:  # every variant but "full" is a flag
+        if getattr(args, variant):
+            cfg.model, cfg.training = ablate(cfg.model, cfg.training, variant)
     cfg.validate_cross_links()
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_run_config(cfg, out / "config.json")
 
-    model = GestureDenoiser(model_cfg, stream(cfg.master_seed, "init"))
+    model = GestureDenoiser(cfg.model, stream(cfg.master_seed, "init"))
     result = train(model, splits.train, cfg.schedule.build(), cfg.training,
                    out_dir=out, resume_from=args.resume)
     report = {"final_step": result.rows[-1]["step"],
@@ -264,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drop the clean-pose reconstruction loss")
     p.add_argument("--no-emotion", action="store_true",
                    help="train without emotion conditioning or its loss")
-    p.add_argument("--no-jcformer-spatial", action="store_true",
+    p.add_argument("--no-jcformer-spatial", action="store_true", dest="no_spatial",
                    help="bypass the joint-correlation (spatial) branch")
     p.set_defaults(func=cmd_train)
 
@@ -317,23 +310,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each error the commands report; anything else is a bug
+_EXIT_CODES = {ParseError: 4, ConfigError: 2, ContractError: 2, DimensionError: 2,
+              MetricError: 2, TrainingError: 3, NumericError: 3, OSError: 4}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (ConfigError, ContractError, DimensionError, MetricError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TrainingError, NumericError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -116,19 +116,49 @@ def emotion_transfer_eval(
 # ---------------------------------------------------------------------------
 
 
-def _train_and_score(run_cfg: RunConfig, splits, extractor, *, tag,
-                     model_cfg=None, train_cfg=None, eval_samples=None):
-    model_cfg = model_cfg or run_cfg.model
-    train_cfg = train_cfg or run_cfg.training
-    model = GestureDenoiser(model_cfg, stream(run_cfg.master_seed, "init", tag))
-    result = train(model, splits.train, run_cfg.schedule.build(), train_cfg)
-    samples = eval_samples if eval_samples is not None else splits.val
-    report = evaluate(
-        model, extractor, samples, run_cfg.schedule.build(),
-        stats=result.stats, eval_cfg=run_cfg.evaluation,
-        sample_cfg=run_cfg.sample, master_seed=run_cfg.master_seed,
-    )
-    return model, result, report
+ABLATION_VARIANTS = ("full", "no_rec", "no_spatial", "no_emotion")
+
+
+def ablate(model_cfg, train_cfg, variant):
+    """(model_cfg, train_cfg) with one ablation variant applied.
+
+    ``no_rec`` drops the reconstruction loss, ``no_emotion`` the emotion
+    conditioning and its loss, ``no_spatial`` the joint-correlation branch;
+    ``full`` changes nothing.
+    """
+    if variant not in ABLATION_VARIANTS:
+        raise ConfigError(f"unknown ablation variant {variant!r}")
+    if variant == "no_spatial":
+        model_cfg = replace(model_cfg, use_spatial_branch=False)
+    elif variant != "full":
+        flag = "use_rec" if variant == "no_rec" else "use_emotion"
+        train_cfg = replace(train_cfg, weights=replace(train_cfg.weights, **{flag: False}))
+    return model_cfg, train_cfg
+
+
+def _study(run_cfg: RunConfig, splits, table, metrics, extractor, eval_samples) -> dict:
+    """Train and score one model per ``name -> (tag, model_cfg, train_cfg)`` entry.
+
+    Each model draws its init from the stream keyed by its tag; each row
+    holds the report's ``metrics`` and the final training loss.
+    """
+    if extractor is None:
+        extractor = train_extractor(
+            [s.motion for s in splits.train], run_cfg.extractor
+        )
+    schedule = run_cfg.schedule.build()
+    out = {}
+    for name, (tag, model_cfg, train_cfg) in table.items():
+        model = GestureDenoiser(model_cfg, stream(run_cfg.master_seed, "init", tag))
+        result = train(model, splits.train, schedule, train_cfg)
+        report = evaluate(
+            model, extractor, splits.val if eval_samples is None else eval_samples,
+            schedule, stats=result.stats, eval_cfg=run_cfg.evaluation,
+            sample_cfg=run_cfg.sample, master_seed=run_cfg.master_seed,
+        )
+        out[name] = {**{k: getattr(report, k) for k in metrics},
+                     "final_loss": result.rows[-1]["total"]}
+    return out
 
 
 def compare_conditioning_modes(run_cfg: RunConfig, splits,
@@ -136,59 +166,19 @@ def compare_conditioning_modes(run_cfg: RunConfig, splits,
                                       "cross_attention"),
                                extractor=None, eval_samples=None) -> dict:
     """Train one model per conditioning mode under identical seeds; score each."""
-    if extractor is None:
-        extractor = train_extractor(
-            [s.motion for s in splits.train], run_cfg.extractor
-        )
-    out = {}
-    for mode in modes:
-        model_cfg = replace(run_cfg.model, emotion_mode=mode)
-        _, result, report = _train_and_score(
-            run_cfg, splits, extractor, tag=f"mode-{mode}",
-            model_cfg=model_cfg, eval_samples=eval_samples,
-        )
-        out[mode] = {
-            "fgd": report.fgd,
-            "srgr": report.srgr,
-            "beat_align": report.beat_align,
-            "final_loss": result.rows[-1]["total"],
-        }
-    return out
-
-
-ABLATION_VARIANTS = ("full", "no_rec", "no_spatial", "no_emotion")
+    table = {mode: (f"mode-{mode}", replace(run_cfg.model, emotion_mode=mode),
+                    run_cfg.training) for mode in modes}
+    return _study(run_cfg, splits, table, ("fgd", "srgr", "beat_align"),
+                  extractor, eval_samples)
 
 
 def ablation_grid(run_cfg: RunConfig, splits, extractor=None,
                   variants=ABLATION_VARIANTS, eval_samples=None) -> dict:
     """Train the flag combinations and report FGD/SRGR for each."""
-    if extractor is None:
-        extractor = train_extractor(
-            [s.motion for s in splits.train], run_cfg.extractor
-        )
-    out = {}
-    for variant in variants:
-        if variant not in ABLATION_VARIANTS:
-            raise ConfigError(f"unknown ablation variant {variant!r}")
-        model_cfg = run_cfg.model
-        weights = run_cfg.training.weights
-        if variant == "no_rec":
-            weights = replace(weights, use_rec=False)
-        elif variant == "no_emotion":
-            weights = replace(weights, use_emotion=False)
-        elif variant == "no_spatial":
-            model_cfg = replace(model_cfg, use_spatial_branch=False)
-        train_cfg = replace(run_cfg.training, weights=weights)
-        _, result, report = _train_and_score(
-            run_cfg, splits, extractor, tag=f"ablate-{variant}",
-            model_cfg=model_cfg, train_cfg=train_cfg, eval_samples=eval_samples,
-        )
-        out[variant] = {
-            "fgd": report.fgd,
-            "srgr": report.srgr,
-            "final_loss": result.rows[-1]["total"],
-        }
-    return out
+    table = {variant: (f"ablate-{variant}",
+                       *ablate(run_cfg.model, run_cfg.training, variant))
+             for variant in variants}
+    return _study(run_cfg, splits, table, ("fgd", "srgr"), extractor, eval_samples)
 
 
 def format_comparison(table: dict, title: str) -> str:

@@ -85,10 +85,15 @@ class ScaleShift(Module):
         self.shift = Linear(d_cond, d, rng, zero_init=True)
         self.d = d
 
-    def __call__(self, x: Tensor, cond: Tensor) -> Tensor:
+    def affine(self, cond: Tensor):
+        """(gamma, beta), each (B, 1, d), from a (B, d_cond) conditioning vector."""
         gamma = self.scale(cond) + 1.0
         beta = self.shift(cond)
-        return x * gamma.reshape(-1, 1, self.d) + beta.reshape(-1, 1, self.d)
+        return gamma.reshape(-1, 1, self.d), beta.reshape(-1, 1, self.d)
+
+    def __call__(self, x: Tensor, cond: Tensor) -> Tensor:
+        gamma, beta = self.affine(cond)
+        return x * gamma + beta
 
 
 class ConditionalNorm(ScaleShift):
@@ -98,16 +103,9 @@ class ConditionalNorm(ScaleShift):
     initialization; with no conditioning vector this is a plain norm.
     """
 
-    def __init__(self, d, d_cond, rng):
-        super().__init__(d, d_cond, rng)
-        self._gain = Tensor(np.ones(d))
-        self._bias = Tensor(np.zeros(d))
-
     def __call__(self, x: Tensor, cond) -> Tensor:
-        normed = layer_norm(x, self._gain, self._bias)
-        if cond is None:
-            return normed
-        return super().__call__(normed, cond)
+        gain, bias = (1.0, 0.0) if cond is None else self.affine(cond)
+        return layer_norm(x, gain, bias)
 
 
 class Attention(Module):

@@ -24,7 +24,7 @@ from .autodiff import Tensor, no_grad
 from .errors import ConfigError, ContractError, MetricError, NumericError
 from .layers import Linear, Module
 from .motion import (AudioFeatureSequence, DatasetStats, GestureSequence, JsonConfig,
-                     window_starts)
+                     normalize, window_starts)
 from .optim import Adam
 from .rng import stream
 
@@ -79,9 +79,7 @@ class GestureFeatureExtractor(Module):
                 f"extractor expects ({self.config.clip_length}, J, 3) clips, "
                 f"got {frames.shape}"
             )
-        flat = frames.reshape(frames.shape[0], -1)
-        normed = (flat - self.stats.mean) / self.stats.std
-        return normed.reshape(-1)
+        return normalize(frames, self.stats).reshape(-1)
 
     def encode(self, clip) -> np.ndarray:
         return self.encode_batch([clip])[0]

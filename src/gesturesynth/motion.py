@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -70,17 +72,6 @@ def _hand_joints(side):
 
 def default_skeleton() -> SkeletonSpec:
     """47-joint upper body: 9 body joints plus 19 joints per hand."""
-    names = [
-        "spine",
-        "neck",
-        "head",
-        "left_shoulder",
-        "left_upper_arm",
-        "left_forearm",
-        "right_shoulder",
-        "right_upper_arm",
-        "right_forearm",
-    ]
     parent_name = {
         "spine": None,
         "neck": "spine",
@@ -93,9 +84,8 @@ def default_skeleton() -> SkeletonSpec:
         "right_forearm": "right_upper_arm",
     }
     for side in ("left", "right"):
-        hand_names, hand_parents = _hand_joints(side)
-        names.extend(hand_names)
-        parent_name.update(zip(hand_names, hand_parents))
+        parent_name.update(zip(*_hand_joints(side)))
+    names = list(parent_name)  # joints in insertion order: body, then each hand
     index = {n: i for i, n in enumerate(names)}
     parents = [-1 if parent_name[n] is None else index[parent_name[n]] for n in names]
     return SkeletonSpec(tuple(names), tuple(parents))
@@ -126,25 +116,28 @@ def joint_group_mask(skeleton: SkeletonSpec, group: str) -> np.ndarray:
     Hands are recognized by name convention (side prefix plus a finger
     segment), so the groups work for any skeleton that follows it.
     """
-    if group not in JOINT_GROUPS:
-        raise ConfigError(f"unknown joint group {group!r}; expected one of {JOINT_GROUPS}")
-    names = skeleton.joint_names
-    def is_hand(name, side):
-        return name.startswith(side + "_") and any(f"_{f}_" in name for f in _FINGERS)
+    def hand(side):
+        return np.array([n.startswith(side + "_") and any(f"_{f}_" in n for f in _FINGERS)
+                         for n in skeleton.joint_names], dtype=bool)
 
-    left = np.array([is_hand(n, "left") for n in names])
-    right = np.array([is_hand(n, "right") for n in names])
-    if group == "none":
-        return np.zeros(len(names), dtype=bool)
-    if group == "all":
-        return np.ones(len(names), dtype=bool)
-    if group == "left_hand":
-        return left
-    if group == "right_hand":
-        return right
-    if group == "hands":
-        return left | right
-    return ~(left | right)  # body
+    left, right = hand("left"), hand("right")
+    masks = {"none": np.zeros_like(left), "all": np.ones_like(left), "body": ~(left | right),
+             "left_hand": left, "right_hand": right, "hands": left | right}
+    if group not in masks:
+        raise ConfigError(f"unknown joint group {group!r}; expected one of {JOINT_GROUPS}")
+    return masks[group]
+
+
+def _frame_rate(data, rate, what):
+    """The checks both sequence types share; returns `rate` as a float."""
+    if data.shape[0] < 1:
+        raise DimensionError(f"{what} sequence needs at least one frame")
+    if not np.all(np.isfinite(data)):
+        raise DimensionError(f"{what} data contain non-finite values")
+    rate = float(rate)
+    if not (np.isfinite(rate) and rate > 0):
+        raise ConfigError(f"{what} frame rate must be finite and > 0, got {rate!r}")
+    return rate
 
 
 @dataclass
@@ -161,16 +154,12 @@ class GestureSequence:
             raise DimensionError(
                 f"gesture frames must be (N, J, 3), got {self.frames.shape}"
             )
-        if self.frames.shape[0] < 1:
-            raise DimensionError("gesture sequence needs at least one frame")
         if self.frames.shape[1] != self.skeleton.joint_count:
             raise DimensionError(
                 f"frames have {self.frames.shape[1]} joints but skeleton defines "
                 f"{self.skeleton.joint_count}"
             )
-        if not np.all(np.isfinite(self.frames)):
-            raise DimensionError("gesture frames contain non-finite values")
-        self.fps = float(self.fps)
+        self.fps = _frame_rate(self.frames, self.fps, "gesture")
 
     @property
     def n_frames(self):
@@ -201,11 +190,7 @@ class AudioFeatureSequence:
             raise DimensionError(
                 f"audio features must be (N, D), got {self.features.shape}"
             )
-        if self.features.shape[0] < 1:
-            raise DimensionError("audio feature sequence needs at least one frame")
-        if not np.all(np.isfinite(self.features)):
-            raise DimensionError("audio features contain non-finite values")
-        self.source_rate_hz = float(self.source_rate_hz)
+        self.source_rate_hz = _frame_rate(self.features, self.source_rate_hz, "audio")
 
     @property
     def n_frames(self):
@@ -301,9 +286,23 @@ def _read_json(path):
         raise ParseError(f"{path}: JSON nested too deeply") from exc
 
 
+@contextmanager
+def _atomic_open(path, mode="w", **kwargs):
+    """A temporary file beside `path`: moved onto it once written, removed on error."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_json(path, obj):
     """The one JSON file layout: sorted keys, one-space indent, final newline."""
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 _MOTION_MAGIC = "GSYNMOT"
@@ -382,7 +381,8 @@ def _write_container(path, header_lines, *arrays):
     """Header lines, the data and end_header lines, then the arrays' float64 bytes."""
     blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
     lines = list(header_lines) + [f"data float64 le {len(blob)}", "end_header", ""]
-    Path(path).write_bytes("\n".join(lines).encode("ascii") + blob)
+    with _atomic_open(path, "wb") as fh:
+        fh.write("\n".join(lines).encode("ascii") + blob)
 
 
 def _check_magic(reader, magic):
@@ -412,27 +412,22 @@ def load_motion(path) -> GestureSequence:
     n, j, fps = reader.expect_fields([("frames", int), ("joints", int), ("fps", float)])
     if n < 1:
         reader.fail("frame count must be at least 1", at=0)
-    names_text, start = reader.line()
-    if not names_text.startswith("names "):
-        reader.fail(f"expected names line, found {names_text!r}", at=start)
-    names = tuple(names_text.split()[1:])
-    if len(names) != j:
-        reader.fail(f"header declares {j} joints but lists {len(names)} names", at=start)
-    parents_text, start = reader.line()
-    if not parents_text.startswith("parents "):
-        reader.fail(f"expected parents line, found {parents_text!r}", at=start)
-    try:
-        parents = tuple(int(p) for p in parents_text.split()[1:])
-    except ValueError:
-        reader.fail("parent indices must be integers", at=start)
-    if len(parents) != j:
-        reader.fail(
-            f"header declares {j} joints but lists {len(parents)} parents", at=start
-        )
+    lists = {}
+    for key, conv in (("names", str), ("parents", int)):
+        text, start = reader.line()
+        if not text.startswith(key + " "):
+            reader.fail(f"expected {key} line, found {text!r}", at=start)
+        try:
+            lists[key] = tuple(conv(v) for v in text.split()[1:])
+        except ValueError:
+            reader.fail(f"{key} must be integers", at=start)
+        if len(lists[key]) != j:
+            reader.fail(f"header declares {j} joints but lists {len(lists[key])} {key}",
+                        at=start)
     flat = _read_blob(reader, n * j * 3)
     try:
         return GestureSequence(flat.reshape(n, j, 3).copy(), fps=fps,
-                               skeleton=SkeletonSpec(names, parents))
+                               skeleton=SkeletonSpec(lists["names"], lists["parents"]))
     except (ConfigError, DimensionError) as exc:
         reader.fail(str(exc), at=0)
 
@@ -458,7 +453,7 @@ def load_audio(path) -> AudioFeatureSequence:
     flat = _read_blob(reader, n * d)
     try:
         return AudioFeatureSequence(flat.reshape(n, d).copy(), source_rate_hz=rate)
-    except DimensionError as exc:
+    except (ConfigError, DimensionError) as exc:
         reader.fail(str(exc), at=0)
 
 

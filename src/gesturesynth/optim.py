@@ -37,21 +37,25 @@ class Adam:
             p.grad = None
 
     def state_dict(self):
-        return {
-            "t": self.t,
-            "m": {k: v.copy() for k, v in self.m.items()},
-            "v": {k: v.copy() for k, v in self.v.items()},
-        }
+        """Flat arrays: ``t`` as a one-element array, ``m.<param>``, ``v.<param>``."""
+        state = {"t": np.array([float(self.t)])}
+        for part in ("m", "v"):
+            state.update({f"{part}.{k}": a.copy() for k, a in getattr(self, part).items()})
+        return state
 
     def load_state_dict(self, state):
-        """Restore t, m and v; a missing or mis-sized moment is a TrainingError."""
-        self.t = int(state["t"])
-        for part, moments in (("m", self.m), ("v", self.v)):
+        """Restore from ``state_dict`` arrays; a missing or malformed one is a TrainingError."""
+        t = np.asarray(state.get("t", np.empty(0)))
+        if t.shape != (1,) or not (t[0] >= 0 and float(t[0]).is_integer()):
+            raise TrainingError("optimizer state lacks a valid step count t; cannot resume")
+        for part in ("m", "v"):
+            moments = getattr(self, part)
             for k, old in moments.items():
-                new = state[part].get(k)
+                new = state.get(f"{part}.{k}")
                 if new is None or np.size(new) != old.size:
                     raise TrainingError(
                         f"optimizer state {part}.{k} is missing or not of shape "
                         f"{old.shape}; cannot resume"
                     )
                 moments[k] = np.asarray(new, dtype=np.float64).reshape(old.shape)
+        self.t = int(t[0])

@@ -25,7 +25,8 @@ from .autodiff import Tensor, as_tensor, no_grad, softmax
 from .diffusion import ALPHA_BAR_FLOOR, NoiseSchedule
 from .errors import ConfigError, ContractError, ParseError, TrainingError
 from .model import Condition, load_checkpoint, save_checkpoint
-from .motion import DatasetStats, JsonConfig, normalize, random_proportional_mask, window_starts
+from .motion import (DatasetStats, JsonConfig, _atomic_open, normalize,
+                     random_proportional_mask, window_starts)
 from .optim import Adam
 from .rng import stream
 
@@ -89,64 +90,58 @@ class TrainConfig(JsonConfig):
 # ---------------------------------------------------------------------------
 
 
-def _frame_weights(frame_mask, batch, n_frames):
-    """Boolean exclusion mask -> float weights (batch, n_frames); None -> all ones."""
+def _operands(x, y, frame_mask):
+    """y - x over (batch, frames, joints, 3) data, and float frame weights (batch, frames).
+
+    A (frames, joints, 3) operand is a batch of one.  ``frame_mask`` is a
+    boolean exclusion mask per frame or per (batch, frame); None weighs all ones.
+    """
+    a, b = (as_tensor(v) for v in (x, y))
+    a, b = (t.reshape((1,) + t.data.shape) if t.data.ndim == 3 else t for t in (a, b))
+    for t in (a, b):
+        if t.data.ndim != 4:
+            raise ContractError(f"expected (batch, frames, joints, 3) data, got {t.data.shape}")
+    if a.data.shape != b.data.shape:
+        raise ContractError(f"shape mismatch {a.data.shape} vs {b.data.shape}")
+    batch, n = a.data.shape[:2]
     if frame_mask is None:
-        return np.ones((batch, n_frames))
+        return b - a, np.ones((batch, n))
     mask = np.asarray(frame_mask, dtype=bool)
     if mask.ndim == 1:
         mask = np.broadcast_to(mask, (batch, mask.shape[0]))
-    if mask.shape != (batch, n_frames):
+    if mask.shape != (batch, n):
         raise ContractError(
-            f"frame mask shape {mask.shape} does not cover a ({batch}, {n_frames}) batch"
+            f"frame mask shape {mask.shape} does not cover a ({batch}, {n}) batch"
         )
     w = 1.0 - mask.astype(np.float64)
     if w.sum() == 0:
         raise ContractError("every frame is masked; nothing left to supervise")
-    return w
+    return b - a, w
 
 
-def _as_batched(x):
-    t = as_tensor(x)
-    if t.data.ndim == 3:
-        t = t.reshape((1,) + t.data.shape)
-    if t.data.ndim != 4:
-        raise ContractError(f"expected (batch, frames, joints, 3) data, got {t.data.shape}")
-    return t
+def _loss_value(out, *inputs):
+    """A loss stays a graph Tensor when any input is a Tensor, else a float."""
+    return out if any(isinstance(x, Tensor) for x in inputs) else float(out.data)
 
 
 def loss_mse(eps, eps_hat, frame_mask=None):
     """Mean squared error over unmasked frames (all channels)."""
-    keep_tensor = isinstance(eps, Tensor) or isinstance(eps_hat, Tensor)
-    a, b = _as_batched(eps), _as_batched(eps_hat)
-    if a.data.shape != b.data.shape:
-        raise ContractError(f"shape mismatch {a.data.shape} vs {b.data.shape}")
-    batch, n, j, _ = a.data.shape
-    w = _frame_weights(frame_mask, batch, n)
-    diff = b - a
+    diff, w = _operands(eps, eps_hat, frame_mask)
+    batch, n, j, _ = diff.data.shape
     total = (diff * diff * w.reshape(batch, n, 1, 1)).sum()
-    out = total * (1.0 / (w.sum() * j * 3))
-    return out if keep_tensor else float(out.data)
+    return _loss_value(total * (1.0 / (w.sum() * j * 3)), eps, eps_hat)
 
 
 def loss_rec(x0, x0_hat, frame_mask=None):
     """Mean over unmasked frames of the per-frame L2 pose-difference norm."""
-    keep_tensor = isinstance(x0, Tensor) or isinstance(x0_hat, Tensor)
-    a, b = _as_batched(x0), _as_batched(x0_hat)
-    if a.data.shape != b.data.shape:
-        raise ContractError(f"shape mismatch {a.data.shape} vs {b.data.shape}")
-    batch, n, _, _ = a.data.shape
-    w = _frame_weights(frame_mask, batch, n)
-    diff = b - a
+    diff, w = _operands(x0, x0_hat, frame_mask)
     sq = (diff * diff).sum(axis=(2, 3))  # (batch, n)
     norms = (sq + REC_STABILIZER).sqrt()
-    out = (norms * w).sum() * (1.0 / w.sum())
-    return out if keep_tensor else float(out.data)
+    return _loss_value((norms * w).sum() * (1.0 / w.sum()), x0, x0_hat)
 
 
 def loss_ce(logits, label):
     """Mean negative log softmax probability of the true label(s)."""
-    keep_tensor = isinstance(logits, Tensor)
     lg = as_tensor(logits)
     if lg.data.ndim == 1:
         lg = lg.reshape((1, lg.data.shape[0]))
@@ -158,8 +153,7 @@ def loss_ce(logits, label):
         raise ContractError(f"labels {labels} outside [0, {n_classes})")
     onehot = np.zeros((batch, n_classes))
     onehot[np.arange(batch), labels] = 1.0
-    out = (softmax(lg).log() * onehot).sum() * (-1.0 / batch)
-    return out if keep_tensor else float(out.data)
+    return _loss_value((softmax(lg).log() * onehot).sum() * (-1.0 / batch), logits)
 
 
 def _scalar(part):
@@ -168,19 +162,17 @@ def _scalar(part):
 
 def total_loss(mse, rec, ce, weights: LossWeights = LossWeights()):
     """Weighted sum of the active terms; rejects non-finite parts."""
-    parts = [("mse", mse)]
+    parts = [("mse", mse, None)]
     if weights.use_rec:
-        parts.append(("rec", rec))
+        parts.append(("rec", rec, weights.lambda_rec))
     if weights.use_emotion:
-        parts.append(("ce", ce))
-    for name, part in parts:
+        parts.append(("ce", ce, None))
+    out = None
+    for name, part, scale in parts:
         if part is None or not np.isfinite(_scalar(part)):
             raise TrainingError(f"loss term {name} is missing or non-finite")
-    out = mse
-    if weights.use_rec:
-        out = out + rec * weights.lambda_rec
-    if weights.use_emotion:
-        out = out + ce
+        part = part if scale is None else part * scale
+        out = part if out is None else out + part
     return out
 
 
@@ -272,7 +264,7 @@ LOG_COLUMNS = ("step", "L_mse", "L_rec", "L_ce", "total")
 
 
 def write_loss_log(rows, path):
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LOG_COLUMNS)
         for row in rows:
@@ -291,25 +283,6 @@ def read_loss_log(path):
             }
             for r in reader
         ]
-
-
-def _optimizer_arrays(opt: Adam):
-    state = opt.state_dict()
-    arrays = {"opt.t": np.array([float(state["t"])])}
-    for part in ("m", "v"):
-        arrays.update({f"opt.{part}.{name}": arr for name, arr in state[part].items()})
-    return arrays
-
-
-def _restore_optimizer(opt: Adam, extra):
-    t = extra.get("opt.t", np.empty(0))
-    if t.shape != (1,) or not (t[0] >= 0 and float(t[0]).is_integer()):
-        raise TrainingError("checkpoint lacks a valid optimizer state (opt.t); cannot resume")
-    state = {"t": int(t[0])}
-    for part in ("m", "v"):
-        p = f"opt.{part}."
-        state[part] = {k[len(p) :]: a for k, a in extra.items() if k.startswith(p)}
-    opt.load_state_dict(state)
 
 
 def train(model, samples, schedule: NoiseSchedule, config: TrainConfig,
@@ -349,7 +322,8 @@ def train(model, samples, schedule: NoiseSchedule, config: TrainConfig,
 
     opt = Adam(model.params(), lr=config.lr)
     if resume_from is not None:
-        _restore_optimizer(opt, bundle.extra_arrays)
+        opt.load_state_dict({k[len("opt."):]: a for k, a in bundle.extra_arrays.items()
+                             if k.startswith("opt.")})
 
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
@@ -362,7 +336,7 @@ def train(model, samples, schedule: NoiseSchedule, config: TrainConfig,
             path,
             stats=stats,
             meta={"step": step, "train_config": config.to_dict()},
-            extra_arrays=_optimizer_arrays(opt),
+            extra_arrays={f"opt.{k}": a for k, a in opt.state_dict().items()},
         )
         return str(path)
 

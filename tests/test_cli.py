@@ -18,10 +18,12 @@ from gesturesynth.config import (
     EvalConfig,
     SampleConfig,
     ScheduleConfig,
+    load_run_config,
     save_run_config,
     toy_run_config,
 )
 from gesturesynth.corpus import load_corpus
+from gesturesynth.experiments import ablate
 from gesturesynth.metrics import ExtractorConfig
 from gesturesynth.model import load_checkpoint, save_checkpoint
 from gesturesynth.motion import load_motion
@@ -104,6 +106,28 @@ class TestTrain:
         assert code == 0
         rows = read_loss_log(out / "loss_log.csv")
         assert all(r["L_rec"] == 0.0 and r["L_ce"] == 0.0 for r in rows)
+
+    @pytest.mark.parametrize("flags", [
+        ["--no-rec"], ["--no-emotion"], ["--no-jcformer-spatial"],
+        ["--no-rec", "--no-emotion", "--no-jcformer-spatial"],
+    ], ids=["no-rec", "no-emotion", "no-spatial", "all"])
+    def test_ablation_flags_write_ablated_config(self, ws, tmp_path, flags):
+        out = tmp_path / "ablated"
+        assert main(["train", "--corpus", str(ws["corpus"]), "--out", str(out),
+                     "--config", str(ws["config"]), *flags]) == 0
+        cfg = load_run_config(ws["config"])
+        model_cfg, train_cfg = cfg.model, cfg.training
+        variants = {"--no-rec": "no_rec", "--no-emotion": "no_emotion",
+                    "--no-jcformer-spatial": "no_spatial"}
+        for flag in flags:
+            model_cfg, train_cfg = ablate(model_cfg, train_cfg, variants[flag])
+        written = json.loads((out / "config.json").read_text())
+        expected = json.loads(json.dumps({"model": model_cfg.to_dict(),
+                                          "training": train_cfg.to_dict()}))
+        assert {k: written[k] for k in expected} == expected
+        unablated = json.loads(json.dumps({"model": cfg.model.to_dict(),
+                                           "training": cfg.training.to_dict()}))
+        assert expected != unablated
 
     def test_retrain_is_byte_identical(self, ws, tmp_path):
         out = tmp_path / "again"
@@ -298,6 +322,14 @@ class TestExport:
                      "--out", str(tmp_path / "motion.csv")])
         assert code == 4
         assert "nan.motion" in capsys.readouterr().err
+
+    def test_bad_fps_is_parse_error(self, ws, tmp_path, capsys):
+        bad = tmp_path / "rate.motion"
+        bad.write_bytes(ws["motion"].read_bytes().replace(b"fps 15.0", b"fps -0.0"))
+        code = main(["export", "--format", "csv", "--motion", str(bad),
+                     "--out", str(tmp_path / "motion.csv")])
+        assert code == 4
+        assert "rate.motion" in capsys.readouterr().err
 
     def test_svg_frame_count(self, ws, tmp_path):
         out = tmp_path / "figures"

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from gesturesynth.corpus import (
@@ -18,6 +20,29 @@ from gesturesynth.corpus import (
     toy_corpus_config,
 )
 from gesturesynth.errors import ConfigError, ParseError
+
+
+def json_corruptions(data):
+    """`data` cut at any offset, or with any one byte overwritten.
+
+    Written bytes favour JSON punctuation, digits, sign and exponent marks, a
+    path separator and bytes that are not UTF-8.
+    """
+    at = st.integers(0, len(data) - 1)
+    cut = at.map(lambda i: data[:i])
+    byte = st.one_of(st.integers(0, 255), st.sampled_from(b'"{}[],:.-+e09/\\ \x00\xff'))
+    poke = st.tuples(at, byte).map(
+        lambda p: data[: p[0]] + bytes([p[1]]) + data[p[0] + 1 :])
+    return st.one_of(cut, poke)
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus(tmp_path_factory):
+    """A saved 10-sample toy corpus and the names of its JSON files."""
+    directory = tmp_path_factory.mktemp("corpus-fuzz")
+    save_corpus(toy_corpus_config(), generate_corpus(toy_corpus_config(), 10), directory)
+    sidecars = sorted(p.name for p in directory.glob("sample_*.json"))
+    return directory, sidecars
 
 
 def small_config(**overrides):
@@ -334,6 +359,21 @@ class TestPersistence:
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(ParseError):
             load_corpus(tmp_path / "nowhere")
+
+    @given(data=st.data())
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_corrupt_json_bytes_load_or_parse_error(self, fuzz_corpus, data):
+        directory, sidecars = fuzz_corpus
+        name = data.draw(st.one_of(st.just("manifest.json"), st.sampled_from(sidecars)))
+        path = directory / name
+        original = path.read_bytes()
+        path.write_bytes(data.draw(json_corruptions(original)))
+        try:
+            load_corpus(directory)
+        except ParseError:
+            pass
+        finally:
+            path.write_bytes(original)
 
     @pytest.mark.parametrize("target, corrupt", [
         ("sidecar", lambda d: "{not json"),

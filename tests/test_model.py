@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_motion import corruptions
 
-from gesturesynth.autodiff import Tensor
+from gesturesynth.autodiff import Tensor, layer_norm
 from gesturesynth.errors import ConfigError, ContractError, ParseError
 from gesturesynth.gradcheck import finite_diff_check
+from gesturesynth.layers import ConditionalNorm
 from gesturesynth.model import (
     Condition,
     GestureDenoiser,
@@ -301,6 +302,30 @@ class TestAudioCrossAttention:
         g = Tensor(np.zeros((1, 5, model.config.d_fusion)))
         a = Tensor(np.zeros((1, 9, model.config.d_audio)))
         assert model.audio_attn(g, a).shape == (1, 5, model.config.d_fusion)
+
+
+class TestConditionalNorm:
+    def test_one_affine_from_the_condition(self):
+        rng = np.random.default_rng(3)
+        norm = ConditionalNorm(8, 4, rng)
+        for p in norm.params().values():
+            p.data = rng.normal(size=p.data.shape)
+        x = Tensor(rng.normal(size=(2, 5, 8)))
+        cond = Tensor(rng.normal(size=(2, 4)))
+        gamma = cond.data @ norm.scale.W.data + norm.scale.b.data + 1.0
+        beta = cond.data @ norm.shift.W.data + norm.shift.b.data
+        expected = layer_norm(x, gamma.reshape(2, 1, 8), beta.reshape(2, 1, 8))
+        np.testing.assert_array_equal(norm(x, cond).data, expected.data)
+        frozen = [k for k, v in vars(norm).items()
+                  if isinstance(v, Tensor) and not v.requires_grad]
+        assert frozen == []
+
+    def test_no_condition_is_plain_norm(self):
+        rng = np.random.default_rng(4)
+        norm = ConditionalNorm(6, 3, rng)
+        x = Tensor(rng.normal(size=(2, 4, 6)))
+        expected = layer_norm(x, np.ones(6), np.zeros(6))
+        np.testing.assert_array_equal(norm(x, None).data, expected.data)
 
 
 class TestEmotionConditioning:

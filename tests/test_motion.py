@@ -113,6 +113,13 @@ class TestSequences:
         with pytest.raises(DimensionError):
             GestureSequence(np.zeros((2, 46, 3)))
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -0.0, -15.0])
+    def test_bad_rate_rejected(self, rate):
+        with pytest.raises(ConfigError, match="frame rate"):
+            GestureSequence(np.zeros((2, 47, 3)), fps=rate)
+        with pytest.raises(ConfigError, match="frame rate"):
+            AudioFeatureSequence(np.zeros((2, 4)), source_rate_hz=rate)
+
     def test_canonicalize_identity_in_range(self):
         frames = np.full((2, 47, 3), 0.3)
         np.testing.assert_array_equal(canonicalize_rotations(frames), frames)
@@ -162,6 +169,22 @@ class TestContainerIO:
         with pytest.raises(ParseError) as err:
             load_motion(p)
         assert err.value.offset == data.find(b"end_header") + len(b"end_header\n")
+
+    @pytest.mark.parametrize("fps", [b"nan", b"inf", b"0.0", b"-0.0", b"-15.0"])
+    def test_bad_fps_reports_file(self, tmp_path, fps):
+        p = tmp_path / "rate.motion"
+        save_motion(make_seq(n=2), p)
+        p.write_bytes(p.read_bytes().replace(b"fps 15.0", b"fps " + fps))
+        with pytest.raises(ParseError, match="rate.motion.*frame rate"):
+            load_motion(p)
+
+    @pytest.mark.parametrize("rate", [b"nan", b"-inf", b"0.0", b"-0.0", b"-15.0"])
+    def test_bad_audio_rate_reports_file(self, tmp_path, rate):
+        p = tmp_path / "rate.audio"
+        save_audio(AudioFeatureSequence(np.ones((3, 4))), p)
+        p.write_bytes(p.read_bytes().replace(b"rate 15.0", b"rate " + rate))
+        with pytest.raises(ParseError, match="rate.audio.*frame rate"):
+            load_audio(p)
 
     def test_nonfinite_motion_blob_reports_file(self, tmp_path):
         p = tmp_path / "nan.motion"

@@ -20,8 +20,10 @@ from gesturesynth.config import (
 from gesturesynth.corpus import generate_corpus, toy_corpus_config
 from gesturesynth.diffusion import make_schedule
 from gesturesynth.errors import ConfigError, ContractError
+from gesturesynth import experiments
 from gesturesynth.experiments import (
     GestureEmotionClassifier,
+    ablate,
     ablation_grid,
     compare_conditioning_modes,
     emotion_transfer_eval,
@@ -382,6 +384,35 @@ class TestHarnesses:
         with pytest.raises(ConfigError):
             ablation_grid(tiny_run, splits, extractor=extractor,
                           variants=("no_gravity",))
+
+    def test_unknown_variant_rejected_before_training(self, tiny_run, splits, extractor,
+                                                      monkeypatch):
+        trained = []
+        monkeypatch.setattr(experiments, "train", lambda *args, **kw: trained.append(args))
+        with pytest.raises(ConfigError, match="no_gravity"):
+            ablation_grid(tiny_run, splits, extractor=extractor,
+                          variants=("no_rec", "no_gravity"))
+        assert trained == []
+
+    @pytest.mark.parametrize("variant, section, path", [
+        ("no_rec", "training", ("weights", "use_rec")),
+        ("no_emotion", "training", ("weights", "use_emotion")),
+        ("no_spatial", "model", ("use_spatial_branch",)),
+    ])
+    def test_ablate_switches_off_one_flag(self, tiny_run, variant, section, path):
+        model_cfg, train_cfg = ablate(tiny_run.model, tiny_run.training, variant)
+        out = {"model": model_cfg.to_dict(), "training": train_cfg.to_dict()}
+        ref = {"model": tiny_run.model.to_dict(), "training": tiny_run.training.to_dict()}
+        node = ref[section]
+        for key in path[:-1]:
+            node = node[key]
+        assert node[path[-1]] is True
+        node[path[-1]] = False
+        assert out == ref
+
+    def test_ablate_full_changes_nothing(self, tiny_run):
+        assert ablate(tiny_run.model, tiny_run.training, "full") == (
+            tiny_run.model, tiny_run.training)
 
     def test_format_comparison(self):
         table = {"full": {"fgd": 1.25, "srgr": 0.5}}

@@ -13,7 +13,8 @@ from gesturesynth.diffusion import make_schedule
 from gesturesynth.errors import ConfigError, ContractError, ParseError, TrainingError
 from gesturesynth.gradcheck import finite_diff_check
 from gesturesynth.model import GestureDenoiser, load_checkpoint, save_checkpoint, toy_config
-from gesturesynth.motion import DatasetStats
+from gesturesynth import motion as motion_module
+from gesturesynth.motion import DatasetStats, _write_json
 from gesturesynth.rng import stream
 from gesturesynth.training import (
     LossWeights,
@@ -407,6 +408,35 @@ class TestCheckpointsAndResume:
         with pytest.raises(error, match=match):
             train(model, samples, schedule, cfg, resume_from=bad)
 
+    def test_checkpoints_store_flat_optimizer_state(self, tmp_path):
+        model, samples, schedule, _ = tiny_setup()
+        cfg = TrainConfig(batch_size=2, n_steps=4, lr=1e-3, seed=5, checkpoint_every=2)
+        train(model, samples, schedule, cfg, out_dir=tmp_path)
+        extra = load_checkpoint(tmp_path / "checkpoint_000002.ckpt").extra_arrays
+        names = model.params()
+        assert set(extra) == {"opt.t"} | {f"opt.{part}.{name}" for part in "mv"
+                                           for name in names}
+        assert extra["opt.t"].tolist() == [2.0]
+        for name, param in names.items():
+            assert extra[f"opt.m.{name}"].shape == param.data.shape
+
+    def test_failed_save_keeps_old_checkpoint(self, tmp_path, monkeypatch):
+        model, samples, schedule, _ = tiny_setup()
+        cfg = TrainConfig(batch_size=2, n_steps=4, lr=1e-3, seed=5, checkpoint_every=2)
+        full = train(model, samples, schedule, cfg, out_dir=tmp_path)
+        old = tmp_path / "checkpoint_000002.ckpt"
+        before, listing = old.read_bytes(), sorted(tmp_path.iterdir())
+        monkeypatch.setattr(motion_module, "open", half_then_fail, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            train(GestureDenoiser(toy_config(), stream(99, "init")), samples, schedule,
+                  cfg, out_dir=tmp_path)
+        monkeypatch.undo()
+        assert old.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == listing
+        resumed = train(GestureDenoiser(toy_config(), stream(1, "other")), samples,
+                        schedule, cfg, resume_from=old)
+        assert resumed.rows == full.rows[2:]
+
     def test_checkpoint_save_load_save_byte_identical(self, tmp_path):
         model, samples, schedule, cfg = tiny_setup()
         train(model, samples, schedule, cfg, out_dir=tmp_path)
@@ -416,6 +446,43 @@ class TestCheckpointsAndResume:
                         stats=bundle.stats, meta=bundle.meta,
                         extra_arrays=bundle.extra_arrays)
         assert (tmp_path / "again.ckpt").read_bytes() == first
+
+
+class _HalfWriter:
+    """A file whose write stores half of its data, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError("disk full")
+
+
+def half_then_fail(*args, **kwargs):
+    return _HalfWriter(open(*args, **kwargs))
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: _write_json(path, {"a": 1}),
+    lambda path: write_loss_log([{"step": 1, "L_mse": 1.0, "L_rec": 0.0, "L_ce": 0.0,
+                                  "total": 1.0}], path),
+], ids=["json", "loss-log"])
+def test_failed_write_keeps_old_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "old.txt"
+    path.write_bytes(b"old contents\n")
+    monkeypatch.setattr(motion_module, "open", half_then_fail, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write(path)
+    assert path.read_bytes() == b"old contents\n"
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 class TestSmoothed:
