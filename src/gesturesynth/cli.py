@@ -30,7 +30,8 @@ from .errors import (
 from .experiments import ABLATION_VARIANTS, ablate
 from .metrics import extract_latents, train_extractor
 from .model import GestureDenoiser, load_checkpoint
-from .motion import _write_json, export_motion_csv, load_audio, load_motion, save_motion
+from .motion import (_atomic_open, _write_json, export_motion_csv, load_audio,
+                     load_motion, save_motion)
 from .pipeline import edit_motion, evaluate, generate_motion, predict_emotion
 from .rng import stream
 from .training import train, validation_losses
@@ -207,7 +208,8 @@ def cmd_export(args) -> int:
         y_range = (seq.frames[:, :, 1].min(), seq.frames[:, :, 1].max())
         for f in keyframes:
             svg = _svg_stick_figure(seq.frames[f], seq.skeleton, x_range, y_range)
-            (out / f"frame_{f:05d}.svg").write_text(svg)
+            with _atomic_open(out / f"frame_{f:05d}.svg") as fh:
+                fh.write(svg)
         print(f"wrote {len(keyframes)} stick-figure frames to {out}")
         return 0
     if args.format == "latents":
@@ -218,7 +220,7 @@ def cmd_export(args) -> int:
         extractor = train_extractor([s.motion for s in splits.train],
                                     cfg.extractor)
         latents = extract_latents(extractor, [seq])
-        with open(args.out, "w") as fh:
+        with _atomic_open(args.out) as fh:
             fh.write(",".join(f"z{i}" for i in range(latents.shape[1])) + "\n")
             for row in latents:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")

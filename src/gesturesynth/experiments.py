@@ -16,6 +16,7 @@ from .config import RunConfig, SampleConfig
 from .errors import ConfigError, ContractError
 from .metrics import train_extractor
 from .model import GestureDenoiser
+from .motion import frames_of
 from .pipeline import evaluate, generate_motion
 from .rng import stream
 from .training import train
@@ -38,7 +39,7 @@ class GestureEmotionClassifier:
 
     @staticmethod
     def features(seq) -> np.ndarray:
-        frames = seq.frames if hasattr(seq, "frames") else np.asarray(seq)
+        frames = frames_of(seq)
         flat = frames.reshape(frames.shape[0], -1)
         return np.concatenate([flat.mean(axis=0), flat.std(axis=0)])
 

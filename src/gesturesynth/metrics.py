@@ -24,7 +24,7 @@ from .autodiff import Tensor, no_grad
 from .errors import ConfigError, ContractError, MetricError, NumericError
 from .layers import Linear, Module
 from .motion import (AudioFeatureSequence, DatasetStats, GestureSequence, JsonConfig,
-                     normalize, window_starts)
+                     _atomic_open, frames_of, normalize, window_starts)
 from .optim import Adam
 from .rng import stream
 
@@ -73,7 +73,7 @@ class GestureFeatureExtractor(Module):
         return self.config.latent_dim
 
     def _flatten(self, clip):
-        frames = clip.frames if isinstance(clip, GestureSequence) else np.asarray(clip)
+        frames = frames_of(clip)
         if frames.ndim != 3 or frames.shape[0] != self.config.clip_length:
             raise ContractError(
                 f"extractor expects ({self.config.clip_length}, J, 3) clips, "
@@ -112,10 +112,7 @@ def train_extractor(real_clips, config: ExtractorConfig = ExtractorConfig()):
         raise ContractError(
             f"extractor training needs >= 100 clips, got {len(real_clips)}"
         )
-    arrays = [
-        c.frames if isinstance(c, GestureSequence) else np.asarray(c)
-        for c in real_clips
-    ]
+    arrays = [frames_of(c) for c in real_clips]
     n = config.clip_length
     for a in arrays:
         if a.ndim != 3 or a.shape[0] != n:
@@ -150,7 +147,7 @@ def extract_latents(extractor, sequences, stride=None) -> np.ndarray:
     stride = n if stride is None else stride
     clips = []
     for seq in sequences:
-        frames = seq.frames if isinstance(seq, GestureSequence) else np.asarray(seq)
+        frames = frames_of(seq)
         for off in window_starts(frames.shape[0], n, stride):
             clips.append(frames[off : off + n])
     if not clips:
@@ -232,8 +229,8 @@ def fgd(real_latents, gen_latents) -> float:
 def srgr(real: GestureSequence, gen: GestureSequence, weights=None,
          delta: float = 0.2) -> float:
     """Weighted fraction of (frame, joint) pairs within delta of the reference."""
-    a = real.frames if isinstance(real, GestureSequence) else np.asarray(real)
-    b = gen.frames if isinstance(gen, GestureSequence) else np.asarray(gen)
+    a = frames_of(real)
+    b = frames_of(gen)
     if a.shape != b.shape:
         raise ContractError(f"sequence shapes differ: {a.shape} vs {b.shape}")
     if delta <= 0:
@@ -359,7 +356,7 @@ class MetricsReport:
         return out
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
+        with _atomic_open(path) as fh:
             fh.write("metric,value\n")
             for key, value in self.rows():
                 value = repr(float(value)) if isinstance(value, (int, float, np.floating)) else value

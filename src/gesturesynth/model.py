@@ -45,7 +45,6 @@ from .layers import (
 )
 from .motion import (DatasetStats, JsonConfig, _HeaderReader, _VERSION, _check_magic,
                      _json_object, _read_blob, _write_container)
-from .rng import stream
 
 EMOTION_MODES = ("adaln", "in_context_token", "in_context_content", "cross_attention")
 
@@ -142,15 +141,6 @@ class Condition:
     speaker: object = 0
 
 
-@dataclass
-class EmotionCondition:
-    """Classifier output: logits, the chosen label, and its embedding row."""
-
-    logits: np.ndarray
-    label: int
-    embedding: np.ndarray
-
-
 class GestureDenoiser(Module):
     def __init__(self, config: ModelConfig, rng):
         c = self.config = config
@@ -231,37 +221,15 @@ class GestureDenoiser(Module):
                 f"audio features have {raw.shape[-1]} channels, model expects "
                 f"{self.config.d_audio_raw}"
             )
-        if raw.shape[-2] < 2:
-            raise ConfigError(
-                f"audio alignment needs at least 2 source frames, got {raw.shape[-2]}"
-            )
+        m = raw.shape[-2]
+        if m < 2 and (m, n_frames) != (1, 1):  # only a lone frame aligns to itself
+            raise ConfigError(f"resampling audio needs at least 2 source frames, got {m}")
         return self.audio_align(Tensor(self._interp_time(raw, n_frames)))
 
-    def align_audio(self, raw_features: np.ndarray, n_frames: int):
-        """Resample raw features to n_frames and project to the model dim."""
-        from .motion import AudioFeatureSequence
-
-        aligned = self._align_tensor(np.asarray(raw_features), n_frames)
-        return AudioFeatureSequence(aligned.data, source_rate_hz=float(n_frames))
-
-    # ------------------------------------------------------------------
-    # emotion pathway
-    # ------------------------------------------------------------------
-
-    def emotion_head(self, audio) -> EmotionCondition:
-        """Classify aligned audio (N x D_a) and fetch the label's embedding."""
-        a = np.asarray(audio, dtype=np.float64)
-        if a.ndim != 2 or a.shape[1] != self.config.d_audio:
-            raise ContractError(
-                f"emotion head expects (N, {self.config.d_audio}), got {a.shape}"
-            )
-        logits = self.emotion_phi(Tensor(a.mean(axis=0, keepdims=True))).data[0]
-        label = int(np.argmax(logits))
-        return EmotionCondition(
-            logits=logits.copy(),
-            label=label,
-            embedding=self.emotion_table.data[label].copy(),
-        )
+    def classify_audio(self, raw: np.ndarray, n_frames: int):
+        """Raw (B, M, D_raw) audio aligned to n_frames, and its mean frame's emotion logits."""
+        aligned = self._align_tensor(raw, n_frames)
+        return aligned, self.emotion_phi(aligned.mean(axis=1))
 
     # ------------------------------------------------------------------
     # branches
@@ -297,10 +265,6 @@ class GestureDenoiser(Module):
         if mode == "in_context_content":
             return g + self.emotion_proj(e).reshape(-1, 1, d)
         return self.emotion_attn(g, e.reshape(-1, 1, d))
-
-    def condition_emotion(self, features: Tensor, e: Tensor, cond=None) -> Tensor:
-        """Apply the configured emotion-conditioning mechanism."""
-        return self._condition_emotion(features, e, cond)
 
     # ------------------------------------------------------------------
     # full forward
@@ -347,9 +311,7 @@ class GestureDenoiser(Module):
         """
         x, audio, labels, speakers = self._batch(x_t, condition)
         b, n = x.shape[0], x.shape[1]
-        aligned = self._align_tensor(audio, n)  # (B, N, d_audio)
-        pooled = aligned.mean(axis=1)
-        logits = self.emotion_phi(pooled)  # (B, C)
+        aligned, logits = self.classify_audio(audio, n)
         if labels is None:
             labels = np.argmax(logits.data, axis=1)
         e = take_rows(self.emotion_table, labels)  # (B, d_fusion)
@@ -416,6 +378,16 @@ def save_checkpoint(model, path, *, stats=None, meta=None, extra_arrays=None):
     _write_container(path, lines, *(arrays[name] for name in names))
 
 
+class _ZeroDraws:
+    """Init RNG stand-in for a model whose parameters are all about to be loaded."""
+
+    @staticmethod
+    def uniform(low=0.0, high=1.0, size=None):
+        return np.zeros(size)
+
+    normal = uniform
+
+
 @dataclass
 class CheckpointBundle:
     model: GestureDenoiser
@@ -462,7 +434,7 @@ def load_checkpoint(path, *, expect_config: ModelConfig = None) -> CheckpointBun
             "checkpoint model configuration does not match the requested one"
         )
 
-    model = GestureDenoiser(config, stream(0, "checkpoint-shape-init"))
+    model = GestureDenoiser(config, _ZeroDraws())
     params = model.params()
     extra = {}
     cursor = 0

@@ -177,6 +177,11 @@ class GestureSequence:
         return GestureSequence(frames, fps=self.fps, skeleton=self.skeleton)
 
 
+def frames_of(x) -> np.ndarray:
+    """The (N, J, 3) frames of a GestureSequence; anything else as an array."""
+    return x.frames if isinstance(x, GestureSequence) else np.asarray(x)
+
+
 @dataclass
 class AudioFeatureSequence:
     """N x D audio feature matrix aligned with a gesture sequence."""
@@ -462,7 +467,7 @@ def export_motion_csv(seq: GestureSequence, path) -> None:
     header = [
         f"{name}_{axis}" for name in seq.skeleton.joint_names for axis in "xyz"
     ]
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame"] + header)
         for i, row in enumerate(seq.channels()):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .autodiff import no_grad
 from .config import EvalConfig, SampleConfig
 from .diffusion import NoiseSchedule, inpaint_sample, sample, seed_pose_sample
 from .errors import ConfigError, ContractError
@@ -36,10 +37,11 @@ from .rng import stream
 
 
 def predict_emotion(model: GestureDenoiser, raw_audio) -> int:
-    """Label the whole input by pooling its aligned features."""
+    """The label the denoiser's own classifier gives the whole (M, D_raw) input."""
     raw = np.asarray(raw_audio, dtype=np.float64)
-    aligned = model.align_audio(raw, raw.shape[0])
-    return model.emotion_head(aligned.features).label
+    with no_grad():
+        _, logits = model.classify_audio(raw[None], raw.shape[0])
+    return int(np.argmax(logits.data[0]))
 
 
 def _window_plan(n_total, window, overlap):
@@ -82,10 +84,6 @@ def generate_motion(
     if n_total < 2:
         raise ContractError("need at least 2 audio frames")
     label = predict_emotion(model, raw) if emotion is None else int(emotion)
-    if not 0 <= label < model.config.n_emotions:
-        raise ConfigError(
-            f"emotion label {label} outside [0, {model.config.n_emotions})"
-        )
 
     spans = _window_plan(n_total, sample_cfg.window, sample_cfg.overlap)
     n_joints = model.config.n_joints

@@ -26,8 +26,10 @@ from gesturesynth.corpus import load_corpus
 from gesturesynth.experiments import ablate
 from gesturesynth.metrics import ExtractorConfig
 from gesturesynth.model import load_checkpoint, save_checkpoint
+from gesturesynth import motion as motion_module
 from gesturesynth.motion import load_motion
 from gesturesynth.training import TrainConfig, read_loss_log
+from test_training import half_then_fail
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +357,20 @@ class TestExport:
         lines = out.read_text().strip().split("\n")
         assert lines[0].split(",") == [f"z{i}" for i in range(32)]
         assert len(lines) == 2  # one 34-frame motion -> one window
+
+    @pytest.mark.parametrize("fmt", ["svg-frames", "latents"])
+    def test_failed_export_keeps_old_file(self, ws, tmp_path, monkeypatch, fmt):
+        out = tmp_path / ("figures" if fmt == "svg-frames" else "latents.csv")
+        old = out / "frame_00000.svg" if fmt == "svg-frames" else out
+        old.parent.mkdir(exist_ok=True)
+        old.write_bytes(b"old contents\n")
+        monkeypatch.setattr(motion_module, "open", half_then_fail, raising=False)
+        assert main(["export", "--format", fmt, "--motion", str(ws["motion"]),
+                     "--out", str(out), "--corpus", str(ws["corpus"]),
+                     "--config", str(ws["config"])]) == 4
+        monkeypatch.undo()
+        assert old.read_bytes() == b"old contents\n"
+        assert sorted(old.parent.iterdir()) == [old]
 
     def test_latents_need_corpus(self, ws, tmp_path):
         code = main(["export", "--format", "latents", "--motion",

@@ -15,12 +15,14 @@ from gesturesynth.model import (
     Condition,
     GestureDenoiser,
     ModelConfig,
+    _ZeroDraws,
     load_checkpoint,
     randomize_parameters,
     save_checkpoint,
     toy_config,
 )
 from gesturesynth.motion import DatasetStats
+from gesturesynth.pipeline import predict_emotion
 from gesturesynth.rng import stream
 
 
@@ -82,6 +84,11 @@ class TestConfig:
             ModelConfig.from_dict({"n_joints": 4, "flux_capacitor": 1})
 
 
+def aligned_audio(model, raw, n_frames):
+    """One clip's aligned features, read off the path forward takes."""
+    return model.classify_audio(raw[None], n_frames)[0].data[0]
+
+
 class TestAlignAudio:
     def test_identity_projection_passthrough(self):
         model = make_model()
@@ -89,14 +96,14 @@ class TestAlignAudio:
         model.audio_align.W.data = np.eye(d)
         model.audio_align.b.data = np.zeros(d)
         raw = np.random.default_rng(0).normal(size=(12, d))
-        out = model.align_audio(raw, 12)
-        np.testing.assert_allclose(out.features, raw, atol=1e-12)
+        out = aligned_audio(model, raw, 12)
+        np.testing.assert_allclose(out, raw, atol=1e-12)
 
     def test_constant_input_stays_constant(self):
         model = make_model()
         raw = np.ones((50, model.config.d_audio_raw)) * 0.7
-        out = model.align_audio(raw, 15)
-        assert np.allclose(out.features, out.features[0])
+        out = aligned_audio(model, raw, 15)
+        assert np.allclose(out, out[0])
 
     def test_matches_interpolation_oracle(self):
         # 100 source positions resampled to 30: target i sits at source
@@ -107,7 +114,7 @@ class TestAlignAudio:
         model.audio_align.b.data = np.zeros(d)
         rng = np.random.default_rng(1)
         raw = rng.normal(size=(100, d))
-        out = model.align_audio(raw, 30).features
+        out = aligned_audio(model, raw, 30)
         for i in (0, 7, 15, 29):
             pos = i * 99.0 / 29.0
             lo, frac = int(np.floor(pos)), pos - int(np.floor(pos))
@@ -118,12 +125,18 @@ class TestAlignAudio:
     def test_too_few_source_frames(self):
         model = make_model()
         with pytest.raises(ConfigError, match="at least 2"):
-            model.align_audio(np.zeros((1, model.config.d_audio_raw)), 10)
+            aligned_audio(model, np.zeros((1, model.config.d_audio_raw)), 10)
+
+    def test_lone_frame_aligns_to_itself(self):
+        model = make_model()
+        raw = np.full((1, model.config.d_audio_raw), 0.3)
+        expected = raw @ model.audio_align.W.data + model.audio_align.b.data
+        np.testing.assert_array_equal(aligned_audio(model, raw, 1), expected)
 
     def test_wrong_channel_count(self):
         model = make_model()
         with pytest.raises(ContractError, match="channels"):
-            model.align_audio(np.zeros((10, 3)), 10)
+            aligned_audio(model, np.zeros((10, 3)), 10)
 
 
 class TestEmotionHead:
@@ -131,21 +144,38 @@ class TestEmotionHead:
         model = make_model()
         model.emotion_phi.W.data[:] = 0.0
         model.emotion_phi.b.data[:] = 0.0
-        audio = np.random.default_rng(2).normal(size=(9, model.config.d_audio))
-        out = model.emotion_head(audio)
-        np.testing.assert_array_equal(out.logits, np.zeros(model.config.n_emotions))
-        assert out.label == 0
-        np.testing.assert_array_equal(out.embedding, model.emotion_table.data[0])
+        rng = np.random.default_rng(2)
+        audio = rng.normal(size=(9, model.config.d_audio_raw))
+        _, logits = model.classify_audio(audio[None], 9)
+        np.testing.assert_array_equal(logits.data, np.zeros((1, model.config.n_emotions)))
+        assert predict_emotion(model, audio) == 0
+        x = rng.normal(size=(9, model.config.n_joints, 3))
+        _, _, labels = model.forward(x, 0, Condition(audio=audio))
+        assert labels.tolist() == [0]  # the row of emotion_table forward uses
 
     def test_frame_permutation_invariant(self):
         model = make_model()
         rng = np.random.default_rng(3)
-        audio = rng.normal(size=(11, model.config.d_audio))
+        audio = rng.normal(size=(11, model.config.d_audio_raw))
         perm = rng.permutation(11)
-        a = model.emotion_head(audio)
-        b = model.emotion_head(audio[perm])
-        np.testing.assert_allclose(a.logits, b.logits, atol=1e-12)
-        assert a.label == b.label
+        _, a = model.classify_audio(audio[None], 11)
+        _, b = model.classify_audio(audio[perm][None], 11)
+        np.testing.assert_allclose(a.data, b.data, atol=1e-12)
+        assert predict_emotion(model, audio) == predict_emotion(model, audio[perm])
+
+    def test_predict_emotion_is_the_forward_label(self):
+        labels = set()
+        for seed in range(6):
+            model = make_model(seed=seed)
+            randomize_parameters(model, stream(seed, "rand"), scale=0.5)
+            rng = np.random.default_rng(seed)
+            n = 7 + seed
+            audio = rng.normal(size=(n, model.config.d_audio_raw))
+            x = rng.normal(size=(n, model.config.n_joints, 3))
+            _, _, used = model.forward(x, 3, Condition(audio=audio))
+            assert predict_emotion(model, audio) == used[0]
+            labels.add(int(used[0]))
+        assert len(labels) > 1  # the seeds exercise more than one class
 
 
 class TestJointBranch:
@@ -334,7 +364,7 @@ class TestEmotionConditioning:
         rng = np.random.default_rng(15)
         g = Tensor(rng.normal(size=(2, 6, model.config.d_fusion)))
         e = Tensor(rng.normal(size=(2, model.config.d_fusion)))
-        out = model.condition_emotion(g, e)
+        out = model._condition_emotion(g, e, None)
         np.testing.assert_array_equal(out.data, g.data)
 
     def test_adaln_frame_local(self):
@@ -345,8 +375,8 @@ class TestEmotionConditioning:
         g2 = g1.copy()
         g2[0, 3] = rng.normal(size=model.config.d_fusion)  # change one frame
         e = Tensor(rng.normal(size=(1, model.config.d_fusion)))
-        o1 = model.condition_emotion(Tensor(g1), e).data
-        o2 = model.condition_emotion(Tensor(g2), e).data
+        o1 = model._condition_emotion(Tensor(g1), e, None).data
+        o2 = model._condition_emotion(Tensor(g2), e, None).data
         np.testing.assert_array_equal(o1[0, [0, 1, 2, 4]], o2[0, [0, 1, 2, 4]])
         assert np.abs(o1[0, 3] - o2[0, 3]).max() > 0
 
@@ -356,7 +386,7 @@ class TestEmotionConditioning:
         g = Tensor(rng.normal(size=(2, 6, model.config.d_fusion)))
         e = Tensor(rng.normal(size=(2, model.config.d_fusion)))
         cond = Tensor(np.zeros((2, model.config.d_cond)))
-        out = model.condition_emotion(g, e, cond)
+        out = model._condition_emotion(g, e, cond)
         assert out.shape == (2, 6, model.config.d_fusion)
 
     def test_content_mode_uniform_shift(self):
@@ -364,7 +394,7 @@ class TestEmotionConditioning:
         rng = np.random.default_rng(19)
         g = Tensor(rng.normal(size=(1, 4, model.config.d_fusion)))
         e = Tensor(rng.normal(size=(1, model.config.d_fusion)))
-        out = model.condition_emotion(g, e).data
+        out = model._condition_emotion(g, e, None).data
         shift = out - g.data
         np.testing.assert_allclose(
             shift, np.broadcast_to(shift[:, :1, :], shift.shape), atol=1e-12
@@ -375,7 +405,7 @@ class TestEmotionConditioning:
         rng = np.random.default_rng(20)
         g = Tensor(rng.normal(size=(2, 5, model.config.d_fusion)))
         e = Tensor(rng.normal(size=(2, model.config.d_fusion)))
-        out = model.condition_emotion(g, e)
+        out = model._condition_emotion(g, e, None)
         assert out.shape == (2, 5, model.config.d_fusion)
 
 
@@ -622,3 +652,19 @@ class TestParameterRegistry:
         digests = (hashlib.sha256(json.dumps(listing).encode()).hexdigest(),
                    hashlib.sha256(path.read_bytes()).hexdigest())
         assert digests == REGISTRY_SNAPSHOT[case]
+
+    @pytest.mark.parametrize("case", sorted(REGISTRY_SNAPSHOT))
+    def test_checkpoint_load_draws_nothing_and_restores_every_bit(self, tmp_path, case):
+        overrides = ({"use_spatial_branch": False} if case == "no_spatial_branch"
+                     else {"emotion_mode": case})
+        model = GestureDenoiser(toy_config(**overrides), stream(0, "registry-snapshot"))
+        stand_in = GestureDenoiser(toy_config(**overrides), _ZeroDraws())
+        assert ([(name, p.data.shape) for name, p in stand_in.params().items()]
+                == [(name, p.data.shape) for name, p in model.params().items()])
+        randomize_parameters(model, stream(1, "rand"))
+        save_checkpoint(model, tmp_path / "toy.ckpt")
+        loaded = load_checkpoint(tmp_path / "toy.ckpt").model.params()
+        assert list(loaded) == list(model.params())
+        for name, p in model.params().items():
+            assert loaded[name].data.dtype == np.float64
+            assert loaded[name].data.tobytes() == p.data.tobytes(), name

@@ -129,6 +129,18 @@ class TestGenerateMotion:
         assert out.n_frames == 60
         assert_array_equal(out.frames[:34], first.frames)
 
+    @pytest.mark.parametrize("n_frames", [35, 69])
+    def test_zero_overlap_one_frame_tail_window(self, model, schedule, n_frames):
+        # the last window holds one frame, which aligns to itself
+        audio = make_audio(n_frames)
+        cfg = SampleConfig(window=34, overlap=0)
+        out = generate_motion(model, audio, schedule, sample_cfg=cfg, master_seed=3)
+        first = generate_motion(model, audio[:34], schedule, sample_cfg=cfg,
+                                emotion=predict_emotion(model, audio), master_seed=3)
+        assert out.n_frames == n_frames
+        assert np.all(np.isfinite(out.frames))
+        assert_array_equal(out.frames[:34], first.frames)
+
     def test_deterministic_under_master_seed(self, model, schedule):
         audio = make_audio(40)
         cfg = SampleConfig(window=20, overlap=4)

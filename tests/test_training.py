@@ -14,7 +14,9 @@ from gesturesynth.errors import ConfigError, ContractError, ParseError, Training
 from gesturesynth.gradcheck import finite_diff_check
 from gesturesynth.model import GestureDenoiser, load_checkpoint, save_checkpoint, toy_config
 from gesturesynth import motion as motion_module
-from gesturesynth.motion import DatasetStats, _write_json
+from gesturesynth.metrics import MetricsReport
+from gesturesynth.motion import (DatasetStats, GestureSequence, _write_json,
+                                 export_motion_csv, generic_skeleton)
 from gesturesynth.rng import stream
 from gesturesynth.training import (
     LossWeights,
@@ -474,7 +476,10 @@ def half_then_fail(*args, **kwargs):
     lambda path: _write_json(path, {"a": 1}),
     lambda path: write_loss_log([{"step": 1, "L_mse": 1.0, "L_rec": 0.0, "L_ce": 0.0,
                                   "total": 1.0}], path),
-], ids=["json", "loss-log"])
+    lambda path: export_motion_csv(
+        GestureSequence(np.zeros((2, 4, 3)), skeleton=generic_skeleton(4)), path),
+    lambda path: MetricsReport(fgd=1.0, srgr=0.5, beat_align=0.25).write_csv(path),
+], ids=["json", "loss-log", "motion-csv", "metrics-csv"])
 def test_failed_write_keeps_old_file(tmp_path, monkeypatch, write):
     path = tmp_path / "old.txt"
     path.write_bytes(b"old contents\n")
