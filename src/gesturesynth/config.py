@@ -58,6 +58,8 @@ class EvalConfig(JsonConfig):
             raise ConfigError("repeats must be >= 1")
         if self.srgr_delta <= 0:
             raise ConfigError("srgr_delta must be positive")
+        if self.latent_stride < 0:
+            raise ConfigError("latent_stride must be >= 0")
 
 
 @dataclass

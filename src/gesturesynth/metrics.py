@@ -68,10 +68,6 @@ class GestureFeatureExtractor(Module):
         self.dec_out = Linear(config.hidden_dim, input_dim, rng)
         self.final_mse = None
 
-    @property
-    def latent_dim(self):
-        return self.config.latent_dim
-
     def _flatten(self, clip):
         frames = frames_of(clip)
         if frames.ndim != 3 or frames.shape[0] != self.config.clip_length:
@@ -106,17 +102,20 @@ class GestureFeatureExtractor(Module):
         return float(np.mean((x - y) ** 2))
 
 
+def _windows(sequences, n, stride):
+    """Every n-frame window of each sequence at the given stride, in order."""
+    return [frames[off : off + n] for frames in map(frames_of, sequences)
+            for off in window_starts(frames.shape[0], n, stride)]
+
+
 def train_extractor(real_clips, config: ExtractorConfig = ExtractorConfig()):
-    """Fit the autoencoder on real clips only; encoder is frozen afterwards."""
-    if len(real_clips) < 100:
-        raise ContractError(
-            f"extractor training needs >= 100 clips, got {len(real_clips)}"
-        )
-    arrays = [frames_of(c) for c in real_clips]
+    """Fit the autoencoder on real motion only, cut into disjoint clip_length windows."""
     n = config.clip_length
-    for a in arrays:
-        if a.ndim != 3 or a.shape[0] != n:
-            raise ContractError(f"clips must all be ({n}, J, 3); got {a.shape}")
+    arrays = _windows(real_clips, n, n)
+    if len(arrays) < 100:
+        raise ContractError(
+            f"extractor training needs >= 100 clips of {n} frames, got {len(arrays)}"
+        )
     stats = DatasetStats.compute([a.reshape(n, -1) for a in arrays])
     rng = stream(config.seed, "extractor-init")
     model = GestureFeatureExtractor(config, arrays[0].size, stats, rng)
@@ -144,12 +143,7 @@ def train_extractor(real_clips, config: ExtractorConfig = ExtractorConfig()):
 def extract_latents(extractor, sequences, stride=None) -> np.ndarray:
     """Window sequences to the extractor's clip length and encode each window."""
     n = extractor.config.clip_length
-    stride = n if stride is None else stride
-    clips = []
-    for seq in sequences:
-        frames = frames_of(seq)
-        for off in window_starts(frames.shape[0], n, stride):
-            clips.append(frames[off : off + n])
+    clips = _windows(sequences, n, n if stride is None else stride)
     if not clips:
         raise ContractError(f"no windows of length {n} available for encoding")
     return extractor.encode_batch(clips)

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor, concat, gelu, no_grad, take_rows
-from .errors import ConfigError, ContractError, DimensionError, ParseError
+from .errors import ConfigError, ContractError, DimensionError
 from .layers import (
     CrossAttention,
     Linear,
@@ -43,8 +42,7 @@ from .layers import (
     sinusoidal_table,
     timestep_features,
 )
-from .motion import (DatasetStats, JsonConfig, _HeaderReader, _VERSION, _check_magic,
-                     _json_object, _read_blob, _write_container)
+from .motion import DatasetStats, JsonConfig, _HeaderReader, _json_object, _write_container
 
 EMOTION_MODES = ("adaln", "in_context_token", "in_context_content", "cross_attention")
 
@@ -365,7 +363,6 @@ def save_checkpoint(model, path, *, stats=None, meta=None, extra_arrays=None):
         arrays[f"extra.{name}"] = np.asarray(arr, dtype=np.float64)
     names = sorted(arrays)
     lines = [
-        f"{_CKPT_MAGIC} {_VERSION}",
         "config " + json.dumps(model.config.to_dict(), sort_keys=True),
         "stats " + ("none" if stats is None else json.dumps(stats.to_dict(), sort_keys=True)),
         "meta " + json.dumps(meta or {}, sort_keys=True),
@@ -375,7 +372,7 @@ def save_checkpoint(model, path, *, stats=None, meta=None, extra_arrays=None):
         shape = np.shape(arrays[name])
         dims = " ".join(str(s) for s in shape)
         lines.append(f"param {name} {len(shape)} {dims}".rstrip())
-    _write_container(path, lines, *(arrays[name] for name in names))
+    _write_container(path, _CKPT_MAGIC, lines, *(arrays[name] for name in names))
 
 
 class _ZeroDraws:
@@ -398,15 +395,11 @@ class CheckpointBundle:
 
 def load_checkpoint(path, *, expect_config: ModelConfig = None) -> CheckpointBundle:
     """Rebuild a model from a checkpoint; config mismatches are rejected."""
-    reader = _HeaderReader(Path(path).read_bytes(), path)
-    _check_magic(reader, _CKPT_MAGIC)
+    reader = _HeaderReader(path, _CKPT_MAGIC)
     specs = {"stats": None}
     for key, decode in (("config", ModelConfig.from_dict),
                         ("stats", DatasetStats.from_dict), ("meta", _json_object)):
-        text, start = reader.line()
-        if not text.startswith(key + " "):
-            reader.fail(f"expected {key} line, found {text!r}", at=start)
-        body = text[len(key) + 1 :]
+        body, start = reader.keyed(key)
         if key == "stats" and body == "none":
             continue
         try:
@@ -425,8 +418,8 @@ def load_checkpoint(path, *, expect_config: ModelConfig = None) -> CheckpointBun
         if len(shape) != ndim:
             reader.fail(f"param {name} declares {ndim} dims, lists {len(shape)}", at=start)
         entries.append((name, shape))
-    total = sum(int(np.prod(shape, dtype=np.int64)) for _, shape in entries)
-    flat = _read_blob(reader, total)
+    sizes = [int(np.prod(shape, dtype=np.int64)) for _, shape in entries]
+    flat = reader.blob(sum(sizes))
 
     config, stats, meta = specs["config"], specs["stats"], specs["meta"]
     if expect_config is not None and config != expect_config:
@@ -437,26 +430,18 @@ def load_checkpoint(path, *, expect_config: ModelConfig = None) -> CheckpointBun
     model = GestureDenoiser(config, _ZeroDraws())
     params = model.params()
     extra = {}
-    cursor = 0
-    for name, shape in entries:
-        size = int(np.prod(shape, dtype=np.int64))
-        block = flat[cursor : cursor + size].reshape(shape).copy()
-        cursor += size
+    for (name, shape), part in zip(entries, np.split(flat, np.cumsum(sizes)[:-1])):
+        block = part.reshape(shape).copy()
         if name.startswith("extra."):
             extra[name[len("extra.") :]] = block
         elif name in params:
             if params[name].data.shape != shape:
-                raise ParseError(
-                    f"{path}: parameter {name} has shape {shape}, model expects "
-                    f"{params[name].data.shape}",
-                    offset=0,
-                )
+                reader.fail(f"parameter {name} has shape {shape}, model expects "
+                            f"{params[name].data.shape}", at=0)
             params[name].data = block
         else:
-            raise ParseError(f"{path}: unknown parameter {name!r}", offset=0)
+            reader.fail(f"unknown parameter {name!r}", at=0)
     missing = set(params) - {name for name, _ in entries}
     if missing:
-        raise ParseError(
-            f"{path}: checkpoint is missing parameters: {sorted(missing)[:5]}", offset=0
-        )
+        reader.fail(f"checkpoint is missing parameters: {sorted(missing)[:5]}", at=0)
     return CheckpointBundle(model=model, stats=stats, meta=meta, extra_arrays=extra)

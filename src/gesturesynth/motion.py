@@ -4,10 +4,12 @@ Motion is stored as per-joint axis-angle rotations, one (x, y, z) triple per
 joint per frame, so a sequence is an N x J x 3 float64 array.  Audio features
 ride alongside as an N x D array aligned frame-for-frame with the motion.
 
-The on-disk container is deliberately dumb: a short ASCII header (version,
-shape, fps, joint names, parents) terminated by ``end_header``, followed by a
-raw little-endian float64 blob.  Anything can parse it, and round-trips are
-lossless at 64-bit precision.
+The on-disk container is deliberately dumb: a magic/version line, a short
+ASCII header (shape, fps, joint names, parents), a ``data float64 le <bytes>``
+line and ``end_header``, followed by a raw little-endian float64 blob.  Motion,
+audio and checkpoint files (``model.save_checkpoint``) share this framing, and
+``_HeaderReader`` is its one reader.  Anything can parse it, and round-trips
+are lossless at 64-bit precision.
 """
 
 from __future__ import annotations
@@ -201,10 +203,6 @@ class AudioFeatureSequence:
     def n_frames(self):
         return self.features.shape[0]
 
-    @property
-    def n_channels(self):
-        return self.features.shape[1]
-
 
 def canonicalize_rotations(frames: np.ndarray) -> np.ndarray:
     """Wrap axis-angle rotations to angle in (-pi, pi]; identity when already there."""
@@ -316,16 +314,29 @@ _VERSION = "v1"
 
 
 class _HeaderReader:
-    """Line reader over raw bytes that remembers byte offsets for errors."""
+    """Reads and checks the container framing line by line; errors carry byte offsets."""
 
-    def __init__(self, data, path):
-        self.data = data
+    def __init__(self, path, magic):
+        self.data = Path(path).read_bytes()
         self.path = path
         self.offset = 0
+        text, start = self.line()
+        parts = text.split()
+        if len(parts) != 2 or parts[0] != magic:
+            self.fail(f"not a {magic} container (header {text!r})", at=start)
+        if parts[1] != _VERSION:
+            self.fail(f"unsupported container version {parts[1]!r}", at=start)
 
-    def fail(self, message, at=None):
-        where = self.offset if at is None else at
-        raise ParseError(f"{self.path}: {message}", offset=where)
+    def fail(self, message, at):
+        raise ParseError(f"{self.path}: {message}", offset=at)
+
+    @contextmanager
+    def as_parse_error(self):
+        """A ConfigError or DimensionError raised inside becomes a ParseError at offset 0."""
+        try:
+            yield
+        except (ConfigError, DimensionError) as exc:
+            self.fail(str(exc), at=0)
 
     def line(self):
         start = self.offset
@@ -338,6 +349,13 @@ class _HeaderReader:
             return raw.decode("ascii"), start
         except UnicodeDecodeError:
             self.fail("header is not ASCII", at=start)
+
+    def keyed(self, key):
+        """(rest of the line, its offset) for a line that must begin with '<key> '."""
+        text, start = self.line()
+        if not text.startswith(key + " "):
+            self.fail(f"expected {key} line, found {text!r}", at=start)
+        return text[len(key) + 1 :], start
 
     def expect_fields(self, spec):
         """Parse a line like 'frames 10 joints 47' against [(key, conv), ...]."""
@@ -355,111 +373,91 @@ class _HeaderReader:
                 self.fail(f"bad value for {key!r}: {parts[2 * i + 1]!r}", at=start)
         return out
 
+    def blob(self, count):
+        """The data and end_header lines, then exactly `count` float64 values."""
+        text, start = self.line()
+        parts = text.split()
+        if len(parts) != 4 or parts[:3] != ["data", "float64", "le"]:
+            self.fail(f"malformed data line {text!r}", at=start)
+        try:
+            nbytes = int(parts[3])
+        except ValueError:
+            self.fail(f"bad byte count {parts[3]!r}", at=start)
+        text, start = self.line()
+        if text != "end_header":
+            self.fail(f"expected end_header, found {text!r}", at=start)
+        blob_start = self.offset
+        blob = self.data[blob_start:]
+        if nbytes != count * 8:
+            self.fail(
+                f"header declares {nbytes} data bytes but shape needs {count * 8}",
+                at=blob_start,
+            )
+        if len(blob) != nbytes:
+            self.fail(
+                f"expected {nbytes} data bytes, file holds {len(blob)}", at=blob_start
+            )
+        return np.frombuffer(blob, dtype="<f8")
 
-def _read_blob(reader, count):
-    text, start = reader.line()
-    parts = text.split()
-    if len(parts) != 4 or parts[:3] != ["data", "float64", "le"]:
-        reader.fail(f"malformed data line {text!r}", at=start)
-    try:
-        nbytes = int(parts[3])
-    except ValueError:
-        reader.fail(f"bad byte count {parts[3]!r}", at=start)
-    text, start = reader.line()
-    if text != "end_header":
-        reader.fail(f"expected end_header, found {text!r}", at=start)
-    blob_start = reader.offset
-    blob = reader.data[blob_start:]
-    if nbytes != count * 8:
-        reader.fail(
-            f"header declares {nbytes} data bytes but shape needs {count * 8}",
-            at=blob_start,
-        )
-    if len(blob) != nbytes:
-        reader.fail(
-            f"expected {nbytes} data bytes, file holds {len(blob)}", at=blob_start
-        )
-    return np.frombuffer(blob, dtype="<f8")
 
-
-def _write_container(path, header_lines, *arrays):
-    """Header lines, the data and end_header lines, then the arrays' float64 bytes."""
+def _write_container(path, magic, header_lines, *arrays):
+    """Magic, header, data and end_header lines, then the arrays' float64 bytes."""
     blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
-    lines = list(header_lines) + [f"data float64 le {len(blob)}", "end_header", ""]
+    lines = [f"{magic} {_VERSION}", *header_lines,
+             f"data float64 le {len(blob)}", "end_header", ""]
     with _atomic_open(path, "wb") as fh:
         fh.write("\n".join(lines).encode("ascii") + blob)
-
-
-def _check_magic(reader, magic):
-    text, start = reader.line()
-    parts = text.split()
-    if len(parts) != 2 or parts[0] != magic:
-        reader.fail(f"not a {magic} container (header {text!r})", at=start)
-    if parts[1] != _VERSION:
-        reader.fail(f"unsupported container version {parts[1]!r}", at=start)
 
 
 def save_motion(seq: GestureSequence, path) -> None:
     """Write a gesture sequence to the self-describing motion container."""
     header = [
-        f"{_MOTION_MAGIC} {_VERSION}",
         f"frames {seq.n_frames} joints {seq.n_joints} fps {seq.fps!r}",
         "names " + " ".join(seq.skeleton.joint_names),
         "parents " + " ".join(str(p) for p in seq.skeleton.parent_index),
     ]
-    _write_container(path, header, seq.frames)
+    _write_container(path, _MOTION_MAGIC, header, seq.frames)
 
 
 def load_motion(path) -> GestureSequence:
     """Read a motion container; malformed input raises ParseError with a byte offset."""
-    reader = _HeaderReader(Path(path).read_bytes(), path)
-    _check_magic(reader, _MOTION_MAGIC)
+    reader = _HeaderReader(path, _MOTION_MAGIC)
     n, j, fps = reader.expect_fields([("frames", int), ("joints", int), ("fps", float)])
     if n < 1:
         reader.fail("frame count must be at least 1", at=0)
     lists = {}
     for key, conv in (("names", str), ("parents", int)):
-        text, start = reader.line()
-        if not text.startswith(key + " "):
-            reader.fail(f"expected {key} line, found {text!r}", at=start)
+        body, start = reader.keyed(key)
         try:
-            lists[key] = tuple(conv(v) for v in text.split()[1:])
+            lists[key] = tuple(conv(v) for v in body.split())
         except ValueError:
             reader.fail(f"{key} must be integers", at=start)
         if len(lists[key]) != j:
             reader.fail(f"header declares {j} joints but lists {len(lists[key])} {key}",
                         at=start)
-    flat = _read_blob(reader, n * j * 3)
-    try:
+    flat = reader.blob(n * j * 3)
+    with reader.as_parse_error():
         return GestureSequence(flat.reshape(n, j, 3).copy(), fps=fps,
                                skeleton=SkeletonSpec(lists["names"], lists["parents"]))
-    except (ConfigError, DimensionError) as exc:
-        reader.fail(str(exc), at=0)
 
 
 def save_audio(seq: AudioFeatureSequence, path) -> None:
     """Write audio features to the companion container format."""
     n, d = seq.features.shape
-    header = [
-        f"{_AUDIO_MAGIC} {_VERSION}",
-        f"frames {n} channels {d} rate {seq.source_rate_hz!r}",
-    ]
-    _write_container(path, header, seq.features)
+    header = [f"frames {n} channels {d} rate {seq.source_rate_hz!r}"]
+    _write_container(path, _AUDIO_MAGIC, header, seq.features)
 
 
 def load_audio(path) -> AudioFeatureSequence:
-    reader = _HeaderReader(Path(path).read_bytes(), path)
-    _check_magic(reader, _AUDIO_MAGIC)
+    reader = _HeaderReader(path, _AUDIO_MAGIC)
     n, d, rate = reader.expect_fields(
         [("frames", int), ("channels", int), ("rate", float)]
     )
     if n < 1:
         reader.fail("frame count must be at least 1", at=0)
-    flat = _read_blob(reader, n * d)
-    try:
+    flat = reader.blob(n * d)
+    with reader.as_parse_error():
         return AudioFeatureSequence(flat.reshape(n, d).copy(), source_rate_hz=rate)
-    except (ConfigError, DimensionError) as exc:
-        reader.fail(str(exc), at=0)
 
 
 def export_motion_csv(seq: GestureSequence, path) -> None:
@@ -481,6 +479,8 @@ def export_motion_csv(seq: GestureSequence, path) -> None:
 
 def window_starts(length: int, n_clip: int, stride: int):
     """Clip start offsets 0, stride, 2*stride, ... with the remainder dropped."""
+    if stride < 1 or n_clip < 1:
+        raise ConfigError(f"n_clip and stride must be positive, got {n_clip}, {stride}")
     if length < n_clip:
         return []
     return list(range(0, length - n_clip + 1, stride))
@@ -488,8 +488,6 @@ def window_starts(length: int, n_clip: int, stride: int):
 
 def window(seq: GestureSequence, n_clip: int = 34, stride: int = 10):
     """Cut a sequence into fixed-length clips; short input warns and yields []."""
-    if stride < 1 or n_clip < 1:
-        raise ConfigError(f"n_clip and stride must be positive, got {n_clip}, {stride}")
     starts = window_starts(seq.n_frames, n_clip, stride)
     if not starts:
         warnings.warn(
@@ -580,9 +578,6 @@ def _channelwise(seq, stats: DatasetStats, fn):
     """Apply fn to the (frames, channels) view of a sequence or an array."""
     if isinstance(seq, GestureSequence):
         return seq.with_frames(_channelwise(seq.frames, stats, fn))
-    if isinstance(seq, AudioFeatureSequence):
-        return AudioFeatureSequence(_channelwise(seq.features, stats, fn),
-                                    source_rate_hz=seq.source_rate_hz)
     arr = np.asarray(seq, dtype=np.float64)
     flat = arr.reshape(arr.shape[0], -1) if arr.ndim != 2 else arr
     if flat.shape[1] != stats.n_channels:
@@ -607,15 +602,21 @@ def denormalize(seq, stats: DatasetStats):
 # ---------------------------------------------------------------------------
 
 
+def mask_ratio_bounds(ratio_range):
+    """(lo, hi) as floats; a ConfigError unless 0 <= lo <= hi < 1."""
+    lo, hi = float(ratio_range[0]), float(ratio_range[1])
+    if not (0.0 <= lo <= hi < 1.0):
+        raise ConfigError(f"mask ratio range must lie within [0, 1), got ({lo}, {hi})")
+    return lo, hi
+
+
 def random_proportional_mask(n, ratio_range, rng, mode: str = "suffix") -> np.ndarray:
     """Mark round(ratio * n) frames masked, ratio drawn uniformly from ratio_range.
 
     `suffix` masks a contiguous tail (emulating shorter sequences); `scatter`
     masks a uniform random subset.  True means masked.
     """
-    lo, hi = float(ratio_range[0]), float(ratio_range[1])
-    if not (0.0 <= lo <= hi < 1.0):
-        raise ConfigError(f"mask ratio range must lie within [0, 1), got ({lo}, {hi})")
+    lo, hi = mask_ratio_bounds(ratio_range)
     if mode not in ("suffix", "scatter"):
         raise ConfigError(f"unknown mask mode {mode!r}")
     ratio = lo if lo == hi else float(rng.uniform(lo, hi))

@@ -25,7 +25,7 @@ from .autodiff import Tensor, as_tensor, no_grad, softmax
 from .diffusion import ALPHA_BAR_FLOOR, NoiseSchedule
 from .errors import ConfigError, ContractError, ParseError, TrainingError
 from .model import Condition, load_checkpoint, save_checkpoint
-from .motion import (DatasetStats, JsonConfig, _atomic_open, normalize,
+from .motion import (DatasetStats, JsonConfig, _atomic_open, mask_ratio_bounds, normalize,
                      random_proportional_mask, window_starts)
 from .optim import Adam
 from .rng import stream
@@ -69,10 +69,7 @@ class TrainConfig(JsonConfig):
             raise ConfigError("lr must be positive")
         if self.n_clip < 2 or self.stride < 1 or self.vl_window < 2 or self.vl_stride < 1:
             raise ConfigError("window sizes must be >= 2 and strides >= 1")
-        lo, hi = self.mask_ratio_range
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise ConfigError(f"mask_ratio_range {self.mask_ratio_range} outside [0, 1]")
-        object.__setattr__(self, "mask_ratio_range", (float(lo), float(hi)))
+        object.__setattr__(self, "mask_ratio_range", mask_ratio_bounds(self.mask_ratio_range))
         if self.mask_mode not in ("suffix", "scatter"):
             raise ConfigError(f"unknown mask_mode {self.mask_mode!r}")
 

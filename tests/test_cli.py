@@ -22,7 +22,7 @@ from gesturesynth.config import (
     save_run_config,
     toy_run_config,
 )
-from gesturesynth.corpus import load_corpus
+from gesturesynth.corpus import load_corpus, toy_corpus_config
 from gesturesynth.experiments import ablate
 from gesturesynth.metrics import ExtractorConfig
 from gesturesynth.model import load_checkpoint, save_checkpoint
@@ -308,6 +308,29 @@ class TestEval:
         assert code == 2
 
 
+def test_eval_and_latents_on_samples_longer_than_the_extractor_clip(tmp_path):
+    """The default corpus has 64-frame samples and the extractor 34-frame clips."""
+    cfg = toy_run_config(
+        corpus=toy_corpus_config(sample_length=64),
+        schedule=ScheduleConfig(n_steps=4, beta_end=0.05),
+        training=TrainConfig(batch_size=2, n_steps=1, seed=0),
+        evaluation=EvalConfig(repeats=1),
+        extractor=ExtractorConfig(clip_length=34, n_steps=5, target_mse=10.0, seed=2),
+    )
+    cfg_path, corpus, run = tmp_path / "run.json", tmp_path / "corpus", tmp_path / "run"
+    save_run_config(cfg, cfg_path)
+    config = ["--config", str(cfg_path)]
+    assert main(["gen-data", "--out", str(corpus), "--samples", "140", *config]) == 0
+    assert main(["train", "--corpus", str(corpus), "--out", str(run), *config]) == 0
+    checkpoint = str(run / "checkpoint_final.ckpt")
+    assert main(["eval", "--checkpoint", checkpoint, "--corpus", str(corpus), *config]) == 0
+    motion = sorted(corpus.glob("*.motion"))[0]
+    out = tmp_path / "latents.csv"
+    assert main(["export", "--format", "latents", "--motion", str(motion), "--out", str(out),
+                 "--corpus", str(corpus), *config]) == 0
+    assert len(out.read_text().strip().split("\n")) == 2  # one disjoint 34-frame window
+
+
 class TestExport:
     def test_csv_row_count(self, ws, tmp_path):
         out = tmp_path / "motion.csv"
@@ -425,6 +448,18 @@ class TestParser:
         code = main(["gen-data", "--out", str(tmp_path / "c"),
                      "--config", str(path), "--samples", "10"])
         assert code == 2
+
+    def test_mask_ratio_of_one_exits_before_training(self, ws, tmp_path):
+        cfg = json.loads(ws["config"].read_text())
+        cfg["training"].update(mask_ratio_range=[0.0, 1.0], variable_length=True,
+                               vl_window=34, vl_stride=10)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        code = main(["train", "--corpus", str(ws["corpus"]), "--out", str(out),
+                     "--config", str(bad)])
+        assert code == 2
+        assert not (out / "config.json").exists()
 
     def test_unknown_config_key_is_argument_error(self, ws, tmp_path):
         cfg = json.loads(ws["config"].read_text())

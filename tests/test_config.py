@@ -64,6 +64,11 @@ class TestSectionValidation:
         with pytest.raises(ConfigError):
             EvalConfig(srgr_delta=0.0)
 
+    def test_eval_latent_stride_not_negative(self):
+        with pytest.raises(ConfigError, match="latent_stride"):
+            EvalConfig(latent_stride=-1)
+        EvalConfig(latent_stride=0)  # 0 means disjoint windows
+
 
 class TestRunConfig:
     def test_toy_config_is_consistent(self):

@@ -316,6 +316,23 @@ class TestExtractor:
             extractor = train_extractor(clips, cfg)
         assert extractor.final_mse > 1e-6
 
+    def test_long_sequences_train_on_disjoint_windows(self, trained):
+        # pairs of 34-frame clips joined into 68-frame sequences window back
+        # into the same clips in the same order, so the extractor is identical
+        extractor, clips, _ = trained
+        assert len(clips) % 2 == 0
+        joined = [np.concatenate([a.frames, b.frames])
+                  for a, b in zip(clips[0::2], clips[1::2])]
+        again = train_extractor(joined, ExtractorConfig(clip_length=34, n_steps=300, seed=3))
+        np.testing.assert_array_equal(
+            extractor.encode_batch(clips[:5]), again.encode_batch(clips[:5])
+        )
+
+    def test_extract_latents_rejects_zero_stride(self, trained):
+        extractor, clips, _ = trained
+        with pytest.raises(ConfigError, match="must be positive"):
+            extract_latents(extractor, clips[:2], stride=0)
+
     def test_extract_latents_windows(self, trained):
         extractor, clips, _ = trained
         z = extract_latents(extractor, clips[:4])

@@ -21,7 +21,16 @@ from gesturesynth.model import (
     save_checkpoint,
     toy_config,
 )
-from gesturesynth.motion import DatasetStats
+from gesturesynth.motion import (
+    AudioFeatureSequence,
+    DatasetStats,
+    GestureSequence,
+    generic_skeleton,
+    load_audio,
+    load_motion,
+    save_audio,
+    save_motion,
+)
 from gesturesynth.pipeline import predict_emotion
 from gesturesynth.rng import stream
 
@@ -609,6 +618,96 @@ class TestCheckpoint:
         np.testing.assert_array_equal(
             model.denoise(x, 3, cond), again.denoise(x, 3, cond)
         )
+
+
+def _swap(old, new):
+    return lambda data: data.replace(old, new, 1)
+
+
+def _at(marker):
+    return lambda data: data.index(marker)
+
+
+def _blob_start(data):
+    return data.index(b"end_header\n") + len(b"end_header\n")
+
+
+def _start(data):
+    return 0
+
+
+# id -> (format, corruption, message after "<path>: ", byte offset in the
+# corrupted file).  The three formats share one framing, so one table pins
+# the message and offset of every way a file can fail to load.
+CONTAINER_ERRORS = {
+    "motion-magic": ("motion", _swap(b"GSYNMOT", b"GSYNXXX"),
+                     "not a GSYNMOT container (header 'GSYNXXX v1')", _start),
+    "audio-magic": ("audio", _swap(b"GSYNAUD", b"GSYNXXX"),
+                    "not a GSYNAUD container (header 'GSYNXXX v1')", _start),
+    "ckpt-magic": ("ckpt", _swap(b"GSYNCKPT", b"GSYNMOT"),
+                   "not a GSYNCKPT container (header 'GSYNMOT v1')", _start),
+    "motion-version": ("motion", _swap(b"GSYNMOT v1", b"GSYNMOT v9"),
+                       "unsupported container version 'v9'", _start),
+    "audio-version": ("audio", _swap(b"GSYNAUD v1", b"GSYNAUD v2"),
+                      "unsupported container version 'v2'", _start),
+    "ckpt-version": ("ckpt", _swap(b"GSYNCKPT v1", b"GSYNCKPT v0"),
+                     "unsupported container version 'v0'", _start),
+    "motion-names": ("motion", _swap(b"names ", b"nomes "),
+                     "expected names line, found 'nomes joint_0 joint_1 joint_2'",
+                     _at(b"nomes")),
+    "motion-parents": ("motion", _swap(b"parents ", b"porents "),
+                       "expected parents line, found 'porents -1 0 1'", _at(b"porents")),
+    "audio-frames": ("audio", _swap(b"frames ", b"frumes "),
+                     "expected field 'frames', found 'frumes'", _at(b"frumes")),
+    "ckpt-config": ("ckpt", _swap(b"config ", b"konfig "), "expected config line, found",
+                    _at(b"konfig")),
+    "ckpt-stats": ("ckpt", _swap(b"stats ", b"stots "),
+                   "expected stats line, found 'stots none'", _at(b"stots")),
+    "ckpt-meta": ("ckpt", _swap(b"meta ", b"mota "),
+                  "expected meta line, found 'mota {}'", _at(b"mota")),
+    "ckpt-param-line": ("ckpt", _swap(b"param audio_align.b 1 20", b"param audio_align.b x 20"),
+                        "malformed param line 'param audio_align.b x 20'",
+                        _at(b"param audio_align.b")),
+    "ckpt-param-dims": ("ckpt", _swap(b"param audio_align.b 1 20", b"param audio_align.b 2 20"),
+                        "param audio_align.b declares 2 dims, lists 1",
+                        _at(b"param audio_align.b")),
+    "ckpt-param-unknown": ("ckpt", _swap(b"param audio_align.b ", b"param audio_align.c "),
+                           "unknown parameter 'audio_align.c'", _start),
+    "ckpt-param-shape": ("ckpt", _swap(b"param audio_attn.k.W 2 20 32",
+                                       b"param audio_attn.k.W 2 32 20"),
+                         "parameter audio_attn.k.W has shape (32, 20), model expects (20, 32)",
+                         _start),
+    "ckpt-param-missing": ("ckpt", _swap(b"param time_collapse ", b"param extra.gone "),
+                           "checkpoint is missing parameters: ['time_collapse']", _start),
+    "motion-short-blob": ("motion", lambda data: data[:-8],
+                          "expected 144 data bytes, file holds 136", _blob_start),
+    "audio-short-blob": ("audio", lambda data: data[:-8],
+                         "expected 96 data bytes, file holds 88", _blob_start),
+    "ckpt-short-blob": ("ckpt", lambda data: data[:-8],
+                        "expected 358512 data bytes, file holds 358504", _blob_start),
+    "ckpt-byte-count": ("ckpt", _swap(b"le 358512", b"le 358520"),
+                        "header declares 358520 data bytes but shape needs 358512",
+                        _blob_start),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTAINER_ERRORS))
+def test_container_error_message_and_offset(tmp_path, case):
+    fmt, corrupt, message, offset = CONTAINER_ERRORS[case]
+    path = tmp_path / f"x.{fmt}"
+    if fmt == "motion":
+        save_motion(GestureSequence(np.full((2, 3, 3), 0.5), skeleton=generic_skeleton(3)), path)
+    elif fmt == "audio":
+        save_audio(AudioFeatureSequence(np.ones((3, 4))), path)
+    else:
+        save_checkpoint(make_model(seed=12), path)
+    data = corrupt(path.read_bytes())
+    path.write_bytes(data)
+    load = {"motion": load_motion, "audio": load_audio, "ckpt": load_checkpoint}[fmt]
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert f"{path}: {message}" in str(err.value)
+    assert err.value.offset == offset(data)
 
 
 # (listing digest, checkpoint digest) per toy configuration, recorded before

@@ -286,6 +286,13 @@ class TestWindowing:
         with pytest.warns(UserWarning, match="shorter"):
             assert window(make_seq(n=33), n_clip=34, stride=10) == []
 
+    @pytest.mark.parametrize("n_clip, stride", [(34, 0), (34, -10), (0, 10)])
+    def test_window_starts_rejects_non_positive_sizes(self, n_clip, stride):
+        # checked before the length, so a short sequence is no way round it
+        for length in (54, 10):
+            with pytest.raises(ConfigError, match="must be positive"):
+                window_starts(length, n_clip, stride)
+
     def test_offsets_reconstruct_original_indices(self):
         seq = make_seq(n=74)
         clips = window(seq, n_clip=34, stride=10)

@@ -271,6 +271,15 @@ class TestEditMotion:
             edit_motion(model, long_ref, "all", make_audio(40), schedule)
 
 
+    def test_too_long_reference_names_model_limit(self, model, schedule):
+        long_ref = GestureSequence(
+            stream(1, "long").standard_normal((40, 6, 3)),
+            fps=15.0, skeleton=generic_skeleton(6),
+        )
+        with pytest.raises(ConfigError, match=r"40 exceeds the model's \D*36"):
+            edit_motion(model, long_ref, "joint_1", make_audio(40), schedule, emotion=0)
+
+
 class TestScoring:
     def test_real_vs_real_is_near_perfect(self, extractor, splits):
         seqs = [s.motion for s in splits.val]

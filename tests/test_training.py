@@ -205,6 +205,12 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(mask_mode="prefix")
 
+    @pytest.mark.parametrize("variable_length", [False, True])
+    def test_mask_ratio_of_one_rejected_at_load(self, variable_length):
+        # the masks need hi < 1, and the config checks the same rule up front
+        with pytest.raises(ConfigError, match=r"within \[0, 1\)"):
+            TrainConfig(mask_ratio_range=(0.0, 1.0), variable_length=variable_length)
+
     def test_dict_roundtrip(self):
         cfg = TrainConfig(n_steps=7, weights=LossWeights(lambda_rec=0.25))
         again = TrainConfig.from_dict(cfg.to_dict())
