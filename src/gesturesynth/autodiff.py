@@ -228,10 +228,15 @@ class Tensor:
     def __getitem__(self, key):
         out = self.data[key]
         shape = self.shape
+        parts = key if isinstance(key, tuple) else (key,)
+        advanced = any(isinstance(k, (np.ndarray, list)) for k in parts)
 
         def back(g):
             full = np.zeros(shape, dtype=np.float64)
-            full[key] = g
+            if advanced:
+                np.add.at(full, key, g)  # repeated indices each add their share
+            else:
+                full[key] = g
             return (full,)
 
         return _node(out, (self,), back)
@@ -320,13 +325,27 @@ def softmax(x) -> Tensor:
 def layer_norm(x, gain, bias, eps=1e-8) -> Tensor:
     """Normalise the last axis to zero mean / unit variance, then apply affine.
 
-    The epsilon keeps a zero-variance row finite (it maps to `bias`).
+    The epsilon keeps a zero-variance row finite (it maps to `bias`). One
+    node with an analytic backward; the forward rounds as the composite
+    mean / centre / variance / sqrt / divide ops would.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + eps).sqrt() * gain + bias
+    inv_n = 1.0 / x.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + eps)
+    xhat = centered / std
+
+    def back(g):
+        gy = g * gain.data
+        mean_gy = gy.sum(axis=-1, keepdims=True) * inv_n
+        mean_gyx = (gy * xhat).sum(axis=-1, keepdims=True) * inv_n
+        return (
+            (gy - mean_gy - xhat * mean_gyx) / std,
+            _unbroadcast(g * xhat, gain.shape),
+            _unbroadcast(g, bias.shape),
+        )
+
+    return _node(xhat * gain.data + bias.data, (x, gain, bias), back)
 
 
 def scaled_dot_attention(q, k, v, scale) -> Tensor:
@@ -345,7 +364,7 @@ def gelu(x) -> Tensor:
     x = as_tensor(x)
     a = x.data
     c = np.sqrt(2.0 / np.pi)
-    u = c * (a + 0.044715 * a**3)
+    u = c * (a + 0.044715 * (a * a * a))
     t = np.tanh(u)
     out = 0.5 * a * (1.0 + t)
 
@@ -358,13 +377,4 @@ def gelu(x) -> Tensor:
 
 def take_rows(table, indices) -> Tensor:
     """Row lookup into an embedding table; gradients scatter-add back."""
-    table = as_tensor(table)
-    idx = np.asarray(indices, dtype=np.intp)
-    shape = table.shape
-
-    def back(g):
-        full = np.zeros(shape, dtype=np.float64)
-        np.add.at(full, idx, g)
-        return (full,)
-
-    return _node(table.data[idx], (table,), back)
+    return as_tensor(table)[np.asarray(indices, dtype=np.intp)]

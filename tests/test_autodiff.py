@@ -160,6 +160,58 @@ class TestLayerNorm:
         assert rel(tg.grad, fd_grad(lambda v: ref(x, v, bias), gain.copy())) < 1e-6
         assert rel(tb.grad, fd_grad(lambda v: ref(x, gain, v), bias.copy())) < 1e-6
 
+    @staticmethod
+    def composite(x, gain, bias, eps=1e-8):
+        """The same norm as separate mean/centre/variance/sqrt/divide ops."""
+        mu = x.mean(axis=-1, keepdims=True)
+        centered = x - mu
+        var = (centered * centered).mean(axis=-1, keepdims=True)
+        return centered / (var + eps).sqrt() * gain + bias
+
+    @staticmethod
+    def inputs(rng, affine):
+        """(x, gain, bias) at the denoiser's shape; the affine is (B, 1, d) or 1.0/0.0."""
+        x = Tensor(rng.normal(scale=rng.uniform(0.1, 10), size=(16, 34, 128)), requires_grad=True)
+        if affine == "scalar":
+            return x, 1.0, 0.0
+        gain, bias = (Tensor(rng.normal(size=(16, 1, 128)), requires_grad=True) for _ in range(2))
+        return x, gain, bias
+
+    @pytest.mark.parametrize("affine", ["tensor", "scalar"])
+    def test_forward_equals_composite_bit_for_bit(self, affine):
+        rng = np.random.default_rng(30)
+        for _ in range(5):
+            args = self.inputs(rng, affine)
+            np.testing.assert_array_equal(
+                layer_norm(*args).data, self.composite(*args).data
+            )
+
+    @pytest.mark.parametrize("affine", ["tensor", "scalar"])
+    def test_grads_match_composite(self, affine):
+        # the analytic backward re-rounds; measured worst max-norm relative
+        # difference over 20 trials: about 4e-16
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            one = self.inputs(rng, affine)
+            ref = [Tensor(a.data, requires_grad=True) if isinstance(a, Tensor) else a for a in one]
+            w = Tensor(rng.normal(size=(16, 34, 128)))
+            (layer_norm(*one) * w).sum().backward()
+            (self.composite(*ref) * w).sum().backward()
+            for a, b in zip(one, ref):
+                if isinstance(a, Tensor):
+                    assert np.abs(a.grad - b.grad).max() <= 1e-14 * np.abs(b.grad).max()
+
+    def test_is_one_node_over_x_gain_bias(self):
+        rng = np.random.default_rng(33)
+        shapes = [(2, 3, 4), (2, 1, 4), (2, 1, 4)]
+        x, gain, bias = (Tensor(rng.normal(size=s), requires_grad=True) for s in shapes)
+        out = layer_norm(x, gain, bias)
+        assert out._parents == (x, gain, bias)
+        with no_grad():
+            free = layer_norm(x, gain, bias)
+        assert not free.requires_grad and free._parents == ()
+        np.testing.assert_array_equal(free.data, out.data)
+
 
 class TestAttention:
     def test_single_token_returns_value_row(self):
@@ -223,6 +275,34 @@ class TestMiscOps:
             return float((0.5 * v * (1 + np.tanh(c * (v + 0.044715 * v**3)))).sum())
 
         assert rel(t.grad, fd_grad(ref, x.copy())) < 1e-6
+
+    def test_gelu_matches_power_cube(self):
+        # the cube is a * a * a; against a**3 it may differ only in the last bits
+        a = np.concatenate([
+            np.linspace(-60.0, 60.0, 20001),
+            -np.logspace(0, 8, 500),
+            np.logspace(0, 8, 500),
+        ])
+        c = np.sqrt(2 / np.pi)
+        old = 0.5 * a * (1 + np.tanh(c * (a + 0.044715 * a**3)))
+        out = gelu(Tensor(a)).data
+        assert np.all(np.abs(out - old) <= 1e-15 * np.maximum(1.0, np.abs(a)))
+
+    def test_getitem_repeated_indices_accumulate(self):
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(4, 3))
+        w = rng.normal(size=(5, 2))
+        rows, cols = np.array([0, 2, 0, 3, 0]), [1, 1]
+        t = Tensor(x, requires_grad=True)
+        (t[rows][:, cols] * Tensor(w)).sum().backward()
+        fd = fd_grad(lambda v: float((v[rows][:, cols] * w).sum()), x.copy())
+        assert rel(t.grad, fd) < 1e-6
+        probe = Tensor(np.arange(3.0), requires_grad=True)
+        probe[np.array([0, 0, 2])].sum().backward()
+        np.testing.assert_array_equal(probe.grad, [2.0, 0.0, 1.0])
+        mask = Tensor(np.arange(3.0), requires_grad=True)
+        mask[np.array([True, False, True])].sum().backward()
+        np.testing.assert_array_equal(mask.grad, [1.0, 0.0, 1.0])
 
     def test_no_grad_keeps_values_and_records_nothing(self):
         rng = np.random.default_rng(17)
