@@ -6,6 +6,12 @@ differences (see gradcheck). Ops record their operands and a backward rule
 on the output tensor; ``Tensor.backward`` walks that implicit graph once in
 reverse topological order. The data buffer of a tensor is treated as
 immutable once an op has consumed it.
+
+``linear`` (``x @ W + b``), ``scaled_dot_attention`` (with ``heads``, also
+the head split and merge) and ``Tensor.mean`` are one node each, with the
+values and gradients of their composites bit for bit. ``@`` is ``linear``
+without a bias, whose backward returns None, and forms no product, for an
+operand that needs no gradient.
 """
 
 from contextlib import contextmanager
@@ -18,6 +24,7 @@ __all__ = [
     "Tensor",
     "as_tensor",
     "concat",
+    "linear",
     "softmax",
     "layer_norm",
     "scaled_dot_attention",
@@ -77,12 +84,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def item(self):
-        return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
@@ -188,19 +189,7 @@ class Tensor:
         return _node(a**exponent, (self,), back)
 
     def __matmul__(self, other):
-        other = as_tensor(other)
-        a, b = self.data, other.data
-        if a.ndim < 2 or b.ndim < 2:
-            raise DimensionError(f"matmul needs matrices, got {a.shape} @ {b.shape}")
-        if a.shape[-1] != b.shape[-2]:
-            raise DimensionError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
-
-        def back(g):
-            ga = _unbroadcast(g @ b.swapaxes(-1, -2), self.shape)
-            gb = _unbroadcast(a.swapaxes(-1, -2) @ g, other.shape)
-            return (ga, gb)
-
-        return _node(a @ b, (self, other), back)
+        return linear(self, other)
 
     # -- shape ops ----------------------------------------------------------
 
@@ -215,14 +204,9 @@ class Tensor:
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        inverse = tuple(np.argsort(axes))
         return _node(
-            self.data.transpose(axes), (self,), lambda g: (g.transpose(inverse),)
-        )
-
-    def swap_last(self):
-        return _node(
-            self.data.swapaxes(-1, -2), (self,), lambda g: (g.swapaxes(-1, -2),)
+            self.data.transpose(axes), (self,),
+            lambda g: (g.transpose(tuple(np.argsort(axes))),),
         )
 
     def __getitem__(self, key):
@@ -244,24 +228,25 @@ class Tensor:
     # -- reductions ---------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        shape = self.shape
-
-        def back(g):
-            if axis is None:
-                return (np.broadcast_to(g, shape).copy(),)
-            g2 = g if keepdims else np.expand_dims(g, axis)
-            return (np.broadcast_to(g2, shape).copy(),)
-
-        return _node(self.data.sum(axis=axis, keepdims=keepdims), (self,), back)
+        return self._sum(axis, keepdims)
 
     def mean(self, axis=None, keepdims=False):
-        if axis is None:
-            count = self.size
-        elif isinstance(axis, tuple):
-            count = int(np.prod([self.shape[a] for a in axis]))
-        else:
-            count = self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        """One node computing ``sum * (1/n)``, as a sum and a multiply op would."""
+        return self._sum(axis, keepdims, mean=True)
+
+    def _sum(self, axis, keepdims, mean=False):
+        shape = self.shape
+        out = self.data.sum(axis=axis, keepdims=keepdims)
+        scale = 1.0 / (self.size // np.size(out)) if mean else None
+
+        def back(g):
+            if scale is not None:
+                g = g * scale
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return (np.broadcast_to(g, shape).copy(),)
+
+        return _node(out if scale is None else out * scale, (self,), back)
 
     # -- pointwise nonlinearities -------------------------------------------
 
@@ -295,6 +280,28 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def linear(x, W, b=None) -> Tensor:
+    """x @ W + b as one node, or x @ W without `b`; the arithmetic of matmul then add."""
+    x, W = as_tensor(x), as_tensor(W)
+    a, w = x.data, W.data
+    if a.ndim < 2 or w.ndim < 2:
+        raise DimensionError(f"matmul needs matrices, got {a.shape} @ {w.shape}")
+    if a.shape[-1] != w.shape[-2]:
+        raise DimensionError(f"matmul inner extents differ: {a.shape} @ {w.shape}")
+    b = None if b is None else as_tensor(b)
+
+    def back(g):  # without a bias, the third slot has no parent and is ignored
+        return (
+            _unbroadcast(g @ w.swapaxes(-1, -2), x.shape) if x.requires_grad else None,
+            _unbroadcast(a.swapaxes(-1, -2) @ g, W.shape) if W.requires_grad else None,
+            _unbroadcast(g, b.shape) if b is not None and b.requires_grad else None,
+        )
+
+    if b is None:
+        return _node(a @ w, (x, W), back)
+    return _node(a @ w + b.data, (x, W, b), back)
+
+
 def concat(tensors, axis=0):
     tensors = [as_tensor(t) for t in tensors]
     sizes = [t.shape[axis] for t in tensors]
@@ -308,18 +315,20 @@ def concat(tensors, axis=0):
     )
 
 
+def _softmax(a):
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(g, y):
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
 def softmax(x) -> Tensor:
     """Softmax over the last axis, stabilised by max subtraction."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def back(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - inner),)
-
-    return _node(y, (x,), back)
+    y = _softmax(x.data)
+    return _node(y, (x,), lambda g: (_softmax_grad(g, y),))
 
 
 def layer_norm(x, gain, bias, eps=1e-8) -> Tensor:
@@ -348,15 +357,41 @@ def layer_norm(x, gain, bias, eps=1e-8) -> Tensor:
     return _node(xhat * gain.data + bias.data, (x, gain, bias), back)
 
 
-def scaled_dot_attention(q, k, v, scale) -> Tensor:
-    """softmax(q @ k^T * scale) @ v over the last two axes."""
+def scaled_dot_attention(q, k, v, scale, heads=None) -> Tensor:
+    """softmax(q @ k^T * scale) @ v over the last two axes, as one node.
+
+    With `heads`, q, k and v are (B, S, d): the node splits d into `heads`
+    heads, attends within each and merges the heads back to (B, S, d). The
+    arithmetic is that of split, matmul, scale, softmax, matmul and merge
+    ops in turn, so values and gradients equal theirs bit for bit.
+    """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.shape[-1] != k.shape[-1]:
         raise DimensionError(f"query/key dims differ: {q.shape} vs {k.shape}")
     if k.shape[-2] != v.shape[-2]:
         raise DimensionError(f"key/value token counts differ: {k.shape} vs {v.shape}")
-    scores = (q @ k.swap_last()) * scale
-    return softmax(scores) @ v
+    if heads is None:
+        split = merge = lambda a: a
+    elif q.ndim != 3 or k.ndim != 3:
+        raise DimensionError(f"multi-head attention needs (B, S, d) inputs, "
+                             f"got {q.shape} and {k.shape}")
+    else:
+        def split(a):  # (B, S, d) -> (B, heads, S, d/heads), a view
+            return a.reshape(-1, a.shape[1], heads, a.shape[2] // heads).transpose(0, 2, 1, 3)
+
+        def merge(a):  # (B, heads, S, dh) -> (B, S, heads*dh)
+            return a.transpose(0, 2, 1, 3).reshape(-1, a.shape[2], a.shape[1] * a.shape[3])
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    p = _softmax((qh @ kh.swapaxes(-1, -2)) * scale)
+
+    def back(g):
+        gy = split(g)
+        gs = _softmax_grad(gy @ vh.swapaxes(-1, -2), p) * scale
+        gk = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+        return (_unbroadcast(merge(gs @ kh), q.shape), _unbroadcast(merge(gk), k.shape),
+                _unbroadcast(merge(p.swapaxes(-1, -2) @ gy), v.shape))
+
+    return _node(merge(p @ vh), (q, k, v), back)
 
 
 def gelu(x) -> Tensor:

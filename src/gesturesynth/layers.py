@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, gelu, layer_norm, scaled_dot_attention
-from .errors import ConfigError, DimensionError
+from .autodiff import Tensor, gelu, layer_norm, linear, scaled_dot_attention
+from .errors import ConfigError
 
 
 class Module:
@@ -53,7 +53,7 @@ class Linear(Module):
         self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.W + self.b
+        return linear(x, self.W, self.b)
 
 
 def sinusoidal_table(n_positions: int, dim: int) -> np.ndarray:
@@ -120,18 +120,9 @@ class Attention(Module):
         self.v = Linear(d_ctx, d, rng)
         self.out = Linear(d, d, rng)
 
-    def _split(self, x: Tensor, s: int) -> Tensor:
-        dh = self.d // self.heads
-        return x.reshape(-1, s, self.heads, dh).transpose(0, 2, 1, 3)
-
     def _attend(self, x: Tensor, ctx: Tensor) -> Tensor:
-        s, s_ctx = x.shape[1], ctx.shape[1]
-        dh = self.d // self.heads
-        q = self._split(self.q(x), s)
-        k = self._split(self.k(ctx), s_ctx)
-        v = self._split(self.v(ctx), s_ctx)
-        y = scaled_dot_attention(q, k, v, 1.0 / np.sqrt(dh))
-        y = y.transpose(0, 2, 1, 3).reshape(-1, s, self.d)
+        scale = 1.0 / np.sqrt(self.d // self.heads)
+        y = scaled_dot_attention(self.q(x), self.k(ctx), self.v(ctx), scale, heads=self.heads)
         return self.out(y)
 
 
@@ -140,8 +131,6 @@ class MultiHeadSelfAttention(Attention):
         super().__init__(d, d, heads, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if len(x.shape) != 3:
-            raise DimensionError(f"attention input must be (B, S, d), got {x.shape}")
         return self._attend(x, x)
 
 
@@ -153,10 +142,6 @@ class CrossAttention(Attention):
     """
 
     def __call__(self, x: Tensor, ctx: Tensor) -> Tensor:
-        if len(x.shape) != 3 or len(ctx.shape) != 3:
-            raise DimensionError(
-                f"cross-attention needs (B, S, d) inputs, got {x.shape} and {ctx.shape}"
-            )
         return x + self._attend(x, ctx)
 
 

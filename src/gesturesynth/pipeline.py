@@ -226,6 +226,7 @@ def evaluate(
     details = {
         "repeats": eval_cfg.repeats,
         "fgd_per_repeat": [round(p["fgd"], 6) for p in per_repeat],
+        "extractor_final_mse": extractor.final_mse,
     }
     return MetricsReport(fgd=means["fgd"], srgr=means["srgr"],
                          beat_align=means["beat_align"], details=details)

@@ -8,6 +8,7 @@ from gesturesynth.autodiff import (
     concat,
     gelu,
     layer_norm,
+    linear,
     no_grad,
     scaled_dot_attention,
     softmax,
@@ -382,3 +383,184 @@ class TestMiscOps:
 
         a, b = run(), run()
         np.testing.assert_array_equal(a, b)
+
+
+def swap_last(t):
+    """t^T over the last two axes, as a transpose node."""
+    axes = list(range(t.ndim))
+    axes[-2:] = axes[-1], axes[-2]
+    return t.transpose(*axes)
+
+
+def composite_attention(q, k, v, scale, heads=None):
+    """Attention as separate split / matmul / scale / softmax / matmul / merge ops."""
+    if heads is not None:
+        s, d = q.shape[1], q.shape[2]
+        q, k, v = (t.reshape(-1, t.shape[1], heads, d // heads).transpose(0, 2, 1, 3)
+                   for t in (q, k, v))
+    y = softmax((q @ swap_last(k)) * scale) @ v
+    return y if heads is None else y.transpose(0, 2, 1, 3).reshape(-1, s, d)
+
+
+def leaves(rng, *shapes):
+    return [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+
+
+def twins(tensors):
+    return [Tensor(t.data.copy(), requires_grad=t.requires_grad) for t in tensors]
+
+
+def assert_same_node(fused, composite, args, rng):
+    """fused(*args) equals composite(*copies) in value and every gradient, bit for bit."""
+    ref = twins(args)
+    out, expect = fused(*args), composite(*ref)
+    np.testing.assert_array_equal(out.data, expect.data)
+    w = Tensor(rng.normal(size=out.shape))
+    (out * w).sum().backward()
+    (expect * w).sum().backward()
+    for a, b in zip(args, ref):
+        np.testing.assert_array_equal(a.grad, b.grad)
+
+
+class CountingGrad:
+    """An upstream gradient that counts the matrix products formed with it."""
+
+    __array_ufunc__ = None  # numpy hands `array @ probe` to __rmatmul__
+
+    def __init__(self, a):
+        self.a, self.products = a, 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return self.a @ other
+
+    def __rmatmul__(self, other):
+        self.products += 1
+        return other @ self.a
+
+
+class TestOneNodeOps:
+    """linear, attention and mean are one node each, bit-identical to their composites."""
+
+    @pytest.mark.parametrize("shapes", [
+        [(16, 34, 128), (128, 256), (256,)],  # a denoiser feed-forward
+        [(16, 64), (64, 8), (8,)],  # the time MLP / classifier: 2-D input
+        [(3, 5, 4), (4, 2), (1, 1, 2)],  # a bias that broadcasts from (1, 1, d)
+    ])
+    def test_linear_equals_matmul_add(self, shapes):
+        rng = np.random.default_rng(40)
+        for _ in range(3):
+            assert_same_node(linear, lambda x, w, b: x @ w + b, leaves(rng, *shapes), rng)
+
+    @pytest.mark.parametrize("q_len, ctx_len", [(34, 34), (34, 40), (34, 1), (7, 13)])
+    def test_attention_with_heads_equals_split_attend_merge(self, q_len, ctx_len):
+        # self-attention, audio cross-attention and the one-token emotion context
+        rng = np.random.default_rng(41)
+        scale = 1.0 / np.sqrt(32)
+        for _ in range(3):
+            args = leaves(rng, (4, q_len, 128), (4, ctx_len, 128), (4, ctx_len, 128))
+            assert_same_node(lambda q, k, v: scaled_dot_attention(q, k, v, scale, heads=4),
+                             lambda q, k, v: composite_attention(q, k, v, scale, heads=4),
+                             args, rng)
+
+    @pytest.mark.parametrize("shapes", [[(5, 4), (6, 4), (6, 3)],
+                                        [(2, 3, 5, 4), (2, 3, 6, 4), (2, 3, 6, 3)]])
+    def test_attention_without_heads_equals_composite(self, shapes):
+        rng = np.random.default_rng(42)
+        for _ in range(3):
+            assert_same_node(lambda q, k, v: scaled_dot_attention(q, k, v, 0.7),
+                             lambda q, k, v: composite_attention(q, k, v, 0.7),
+                             leaves(rng, *shapes), rng)
+
+    @pytest.mark.parametrize("axis, keepdims", [(None, False), (1, False), (-1, True),
+                                                ((1, 2), False), ((0, 2), True)])
+    def test_mean_equals_sum_times_reciprocal(self, axis, keepdims):
+        rng = np.random.default_rng(43)
+        (x,) = leaves(rng, (4, 34, 20))
+        count = x.size // x.data.sum(axis=axis, keepdims=keepdims).size
+        assert_same_node(lambda t: t.mean(axis=axis, keepdims=keepdims),
+                         lambda t: t.sum(axis=axis, keepdims=keepdims) * (1.0 / count),
+                         [x], rng)
+
+    def test_each_is_one_node_and_none_under_no_grad(self):
+        rng = np.random.default_rng(44)
+        x, w, b = leaves(rng, (2, 3, 4), (4, 4), (4,))
+        q, k, v = leaves(rng, (2, 3, 4), (2, 5, 4), (2, 5, 4))
+        ops = [(lambda: linear(x, w, b), (x, w, b)),
+               (lambda: scaled_dot_attention(q, k, v, 0.5, heads=2), (q, k, v)),
+               (lambda: x.mean(axis=1), (x,))]
+        for op, parents in ops:
+            out = op()
+            assert out._parents == parents
+            with no_grad():
+                free = op()
+            assert not free.requires_grad and free._parents == ()
+            np.testing.assert_array_equal(free.data, out.data)
+
+    def test_attention_with_heads_needs_three_axes(self):
+        flat = Tensor(np.zeros((3, 4)))
+        with pytest.raises(DimensionError, match=r"\(B, S, d\).*\(3, 4\)"):
+            scaled_dot_attention(flat, flat, flat, 0.5, heads=2)
+
+    def test_linear_grads_vs_finite_differences(self):
+        rng = np.random.default_rng(45)
+        x, w, b, r = (rng.normal(size=s) for s in [(2, 3, 4), (4, 5), (5,), (2, 3, 5)])
+        args = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        (linear(*args) * Tensor(r)).sum().backward()
+
+        def ref(xa, wa, ba):
+            return float(((xa @ wa + ba) * r).sum())
+
+        assert rel(args[0].grad, fd_grad(lambda a: ref(a, w, b), x.copy())) < 1e-6
+        assert rel(args[1].grad, fd_grad(lambda a: ref(x, a, b), w.copy())) < 1e-6
+        assert rel(args[2].grad, fd_grad(lambda a: ref(x, w, a), b.copy())) < 1e-6
+
+    def test_attention_with_heads_vs_finite_differences(self):
+        rng = np.random.default_rng(46)
+        q, k, v = (rng.normal(size=s) for s in [(2, 3, 4), (2, 5, 4), (2, 5, 4)])
+        r = rng.normal(size=(2, 3, 4))
+        scale = 0.6
+
+        def ref(qa, ka, va):
+            out = np.zeros((2, 3, 4))
+            for h in range(2):  # two heads of two channels each
+                cols = slice(2 * h, 2 * h + 2)
+                s = qa[..., cols] @ ka[..., cols].swapaxes(1, 2) * scale
+                e = np.exp(s - s.max(-1, keepdims=True))
+                out[..., cols] = e / e.sum(-1, keepdims=True) @ va[..., cols]
+            return float((out * r).sum())
+
+        tq, tk, tv = (Tensor(a, requires_grad=True) for a in (q, k, v))
+        (scaled_dot_attention(tq, tk, tv, scale, heads=2) * Tensor(r)).sum().backward()
+        assert rel(tq.grad, fd_grad(lambda a: ref(a, k, v), q.copy())) < 1e-6
+        assert rel(tk.grad, fd_grad(lambda a: ref(q, a, v), k.copy())) < 1e-6
+        assert rel(tv.grad, fd_grad(lambda a: ref(q, k, a), v.copy())) < 1e-6
+
+    @pytest.mark.parametrize("axis", [None, 0, (0, 2)])
+    def test_mean_vs_finite_differences(self, axis):
+        rng = np.random.default_rng(47)
+        x = rng.normal(size=(3, 2, 4))
+        r = rng.normal(size=np.shape(x.mean(axis=axis)))
+        t = Tensor(x, requires_grad=True)
+        (t.mean(axis=axis) * Tensor(r)).sum().backward()
+        assert rel(t.grad, fd_grad(lambda a: float((a.mean(axis=axis) * r).sum()),
+                                   x.copy())) < 1e-6
+
+    @pytest.mark.parametrize("op", ["matmul", "linear"])
+    @pytest.mark.parametrize("needs", [(True, False), (False, True), (True, True)])
+    def test_backward_skips_operands_that_need_no_grad(self, op, needs):
+        # the bias of `linear` needs none either, so only x and W meet the probe
+        rng = np.random.default_rng(48)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=needs[0])
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=needs[1])
+        out = x @ w if op == "matmul" else linear(x, w, Tensor(np.zeros(5)))
+        g = rng.normal(size=out.shape)
+        probe = CountingGrad(g)
+        grads = out._backward(probe)
+        assert probe.products == sum(needs)
+        expected = (g @ w.data.T, (x.data.swapaxes(1, 2) @ g).sum(axis=0), None)
+        for need, grad, expect in zip(needs + (False,), grads, expected):
+            if need:
+                np.testing.assert_array_equal(grad, expect)
+            else:
+                assert grad is None

@@ -739,12 +739,16 @@ REGISTRY_SNAPSHOT = {
 }
 
 
+def snapshot_config(case):
+    if case == "no_spatial_branch":
+        return toy_config(use_spatial_branch=False)
+    return toy_config(emotion_mode=case)
+
+
 class TestParameterRegistry:
     @pytest.mark.parametrize("case", sorted(REGISTRY_SNAPSHOT))
     def test_names_shapes_and_checkpoint_bytes_unchanged(self, tmp_path, case):
-        overrides = ({"use_spatial_branch": False} if case == "no_spatial_branch"
-                     else {"emotion_mode": case})
-        model = GestureDenoiser(toy_config(**overrides), stream(0, "registry-snapshot"))
+        model = GestureDenoiser(snapshot_config(case), stream(0, "registry-snapshot"))
         listing = [[name, list(p.data.shape)] for name, p in model.params().items()]
         path = tmp_path / "toy.ckpt"
         save_checkpoint(model, path)
@@ -754,10 +758,8 @@ class TestParameterRegistry:
 
     @pytest.mark.parametrize("case", sorted(REGISTRY_SNAPSHOT))
     def test_checkpoint_load_draws_nothing_and_restores_every_bit(self, tmp_path, case):
-        overrides = ({"use_spatial_branch": False} if case == "no_spatial_branch"
-                     else {"emotion_mode": case})
-        model = GestureDenoiser(toy_config(**overrides), stream(0, "registry-snapshot"))
-        stand_in = GestureDenoiser(toy_config(**overrides), _ZeroDraws())
+        model = GestureDenoiser(snapshot_config(case), stream(0, "registry-snapshot"))
+        stand_in = GestureDenoiser(snapshot_config(case), _ZeroDraws())
         assert ([(name, p.data.shape) for name, p in stand_in.params().items()]
                 == [(name, p.data.shape) for name, p in model.params().items()])
         randomize_parameters(model, stream(1, "rand"))
@@ -767,3 +769,37 @@ class TestParameterRegistry:
         for name, p in model.params().items():
             assert loaded[name].data.dtype == np.float64
             assert loaded[name].data.tobytes() == p.data.tobytes(), name
+
+
+# sha256 per toy configuration of one B=1 denoise, then of eps, logits and
+# every parameter gradient (params() order) of one B=2 forward + backward,
+# recorded before Linear, attention and mean became single graph nodes.  A
+# fold of autodiff ops that does the same arithmetic keeps every one of them.
+# They hash BLAS products, so another BLAS build or CPU kernel may need them
+# recorded again (the same run on the parent tree gives the new values).
+GRAPH_SNAPSHOT = {
+    "adaln": "fbcb2943f9e6273568245e72b77447f33ad5d7f2ee0478e8f8ba649782ed474e",
+    "cross_attention": "e10caa25bb1add0d863d791f4df694e4b09f9d682a57d132d070aefeca37ff64",
+    "in_context_content": "a5afcf478b661a96997ce171a9508e6d98e5aabfa96bdda4c874cb43f2c28e23",
+    "in_context_token": "4dc468fb2d06d8a2c5bdc747b1266979ab44318435468feb905289ca9332549e",
+    "no_spatial_branch": "e6b802bec172a89aa12efd98ab1e99ade5a921010b6411b47729748d15bd7116",
+}
+
+
+def graph_digest(case):
+    model = GestureDenoiser(snapshot_config(case), stream(0, "graph-snapshot"))
+    randomize_parameters(model, stream(1, "graph-snapshot"))
+    x, cond = make_inputs(model, b=2, n=12, seed=3)
+    single = model.denoise(x[0], 7, Condition(audio=cond.audio[0], speaker=1))
+    eps, logits, _ = model.forward(x, [3, 40], cond)
+    w = np.random.default_rng(4).normal(size=eps.shape)
+    ((eps * Tensor(w)).sum() + logits.mean()).backward()
+    h = hashlib.sha256()
+    for a in [single, eps.data, logits.data, *(p.grad for p in model.params().values())]:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(REGISTRY_SNAPSHOT))
+def test_denoise_and_gradients_keep_every_bit(case):
+    assert graph_digest(case) == GRAPH_SNAPSHOT[case]

@@ -322,6 +322,19 @@ class TestScoring:
         with pytest.raises(ContractError):
             evaluate(model, extractor, [], schedule)
 
+    def test_evaluate_reports_extractor_fit(self, model, extractor, splits, schedule,
+                                            tmp_path):
+        # the extractor's reconstruction MSE on its training windows goes into
+        # the report, so a poorly fitted extractor shows next to the scores
+        report = evaluate(model, extractor, splits.test[:2], schedule,
+                          eval_cfg=EvalConfig(repeats=1),
+                          sample_cfg=SampleConfig(window=34, overlap=4))
+        mse = report.details["extractor_final_mse"]
+        assert mse == extractor.final_mse > 0
+        assert f"extractor_final_mse: {mse}" in report.text()
+        report.write_csv(tmp_path / "report.csv")
+        assert f"extractor_final_mse,{mse!r}\n" in (tmp_path / "report.csv").read_text()
+
 
 @pytest.fixture(scope="module")
 def classifier(splits):
