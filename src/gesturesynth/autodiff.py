@@ -4,14 +4,16 @@ Every model layer, loss, and sampler in this package is built on the ops
 here, so each analytic gradient can be cross-checked against central finite
 differences (see gradcheck). Ops record their operands and a backward rule
 on the output tensor; ``Tensor.backward`` walks that implicit graph once in
-reverse topological order. The data buffer of a tensor is treated as
-immutable once an op has consumed it.
+reverse topological order and consumes it: each intermediate buffer is freed
+once its last reader has run, only leaves keep ``.grad``, and a second walk
+through a consumed node raises ValueError. The data buffer of a tensor is
+treated as immutable once an op has consumed it.
 
 ``linear`` (``x @ W + b``), ``scaled_dot_attention`` (with ``heads``, also
 the head split and merge) and ``Tensor.mean`` are one node each, with the
 values and gradients of their composites bit for bit. ``@`` is ``linear``
 without a bias, whose backward returns None, and forms no product, for an
-operand that needs no gradient.
+operand that needs no gradient; so do ``+``, ``-``, ``*`` and ``/``.
 """
 
 from contextlib import contextmanager
@@ -100,6 +102,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents is None:  # the mark backward() leaves on what it consumed
+                raise ValueError("backward() reached a graph an earlier backward() consumed")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -108,23 +112,30 @@ class Tensor:
         return order
 
     def backward(self, grad=None):
-        """Accumulate dL/dp into `.grad` of every upstream tensor."""
+        """Accumulate dL/dp into the leaves' `.grad`, consuming the graph as it goes.
+
+        Each interior node's gradient, rule and parent links are dropped once
+        used. `grad` (ones by default) must have this tensor's shape.
+        """
         if not self.requires_grad:
             raise ValueError("backward() called on a tensor that does not require grad")
-        if grad is None:
-            grad = np.ones_like(self.data)
-        self.grad = np.asarray(grad, dtype=np.float64)
-        for node in reversed(self._toposort()):
-            if node._backward is None or node.grad is None:
+        grad = np.ones_like(self.data) if grad is None else np.asarray(grad, dtype=np.float64)
+        if grad.shape != self.shape:
+            raise DimensionError(f"seed gradient {grad.shape} for a root of shape {self.shape}")
+        order = self._toposort()
+        self.grad = grad
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            g, back, parents = node.grad, node._backward, node._parents
+            node.grad, node._backward, node._parents = None, None, None
+            if g is None:
                 continue
-            gs = node._backward(node.grad)
-            for parent, g in zip(node._parents, gs):
-                if g is None or not parent.requires_grad:
+            for parent, pg in zip(parents, back(g)):
+                if pg is None or not parent.requires_grad:
                     continue
-                if parent.grad is None:
-                    parent.grad = g
-                else:
-                    parent.grad = parent.grad + g
+                parent.grad = pg if parent.grad is None else parent.grad + pg
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -132,7 +143,8 @@ class Tensor:
         other = as_tensor(other)
 
         def back(g):
-            return (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape))
+            return (_unbroadcast(g, self.shape) if self.requires_grad else None,
+                    _unbroadcast(g, other.shape) if other.requires_grad else None)
 
         return _node(self.data + other.data, (self, other), back)
 
@@ -145,7 +157,8 @@ class Tensor:
         other = as_tensor(other)
 
         def back(g):
-            return (_unbroadcast(g, self.shape), _unbroadcast(-g, other.shape))
+            return (_unbroadcast(g, self.shape) if self.requires_grad else None,
+                    _unbroadcast(-g, other.shape) if other.requires_grad else None)
 
         return _node(self.data - other.data, (self, other), back)
 
@@ -157,7 +170,8 @@ class Tensor:
         a, b = self.data, other.data
 
         def back(g):
-            return (_unbroadcast(g * b, self.shape), _unbroadcast(g * a, other.shape))
+            return (_unbroadcast(g * b, self.shape) if self.requires_grad else None,
+                    _unbroadcast(g * a, other.shape) if other.requires_grad else None)
 
         return _node(a * b, (self, other), back)
 
@@ -168,10 +182,8 @@ class Tensor:
         a, b = self.data, other.data
 
         def back(g):
-            return (
-                _unbroadcast(g / b, self.shape),
-                _unbroadcast(-g * a / (b * b), other.shape),
-            )
+            return (_unbroadcast(g / b, self.shape) if self.requires_grad else None,
+                    _unbroadcast(-g * a / (b * b), other.shape) if other.requires_grad else None)
 
         return _node(a / b, (self, other), back)
 

@@ -18,19 +18,29 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self._scratch = {k: np.empty_like(p.data) for k, p in self.params.items()}
 
     def step(self):
-        self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for name, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        """One update; every gradient is checked finite before any state changes."""
+        grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
+                 for p in self.params.values()]
+        for name, g in zip(self.params, grads):
             if not np.all(np.isfinite(g)):
                 raise TrainingError(f"non-finite gradient for parameter '{name}'")
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            m_hat = self.m[name] / (1 - b1**self.t)
-            v_hat = self.v[name] / (1 - b2**self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
+        for (name, p), g in zip(self.params.items(), grads):
+            # b1*m + (1-b1)*g, b2*v + (1-b2)*g*g, p - lr*m_hat/(sqrt(v_hat)+eps), in place
+            m, v, s = self.m[name], self.v[name], self._scratch[name]
+            m *= b1
+            m += np.multiply(1 - b1, g, out=s)
+            v *= b2
+            v += np.multiply(np.multiply(1 - b2, g, out=s), g, out=s)
+            step = np.sqrt(np.divide(v, c2, out=s))  # the one fresh array: the new p.data
+            step += self.eps
+            np.divide(np.multiply(np.divide(m, c1, out=s), self.lr, out=s), step, out=s)
+            p.data = np.subtract(p.data, s, out=step)
 
     def zero_grad(self):
         for p in self.params.values():
@@ -44,7 +54,7 @@ class Adam:
         return state
 
     def load_state_dict(self, state):
-        """Restore from ``state_dict`` arrays; a missing or malformed one is a TrainingError."""
+        """Copy in ``state_dict`` arrays; a missing or malformed one is a TrainingError."""
         t = np.asarray(state.get("t", np.empty(0)))
         if t.shape != (1,) or not (t[0] >= 0 and float(t[0]).is_integer()):
             raise TrainingError("optimizer state lacks a valid step count t; cannot resume")
@@ -57,5 +67,5 @@ class Adam:
                         f"optimizer state {part}.{k} is missing or not of shape "
                         f"{old.shape}; cannot resume"
                     )
-                moments[k] = np.asarray(new, dtype=np.float64).reshape(old.shape)
+                moments[k] = np.array(new, dtype=np.float64).reshape(old.shape)
         self.t = int(t[0])

@@ -564,3 +564,111 @@ class TestOneNodeOps:
                 np.testing.assert_array_equal(grad, expect)
             else:
                 assert grad is None
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "truediv"])
+@pytest.mark.parametrize("needs", [(True, False), (False, True), (True, True)])
+def test_elementwise_backward_skips_operands_that_need_no_grad(op, needs):
+    rng = np.random.default_rng(49)
+    a = Tensor(rng.normal(size=(2, 3)), requires_grad=needs[0])
+    b = Tensor(rng.uniform(1.0, 2.0, size=(3,)), requires_grad=needs[1])
+    out = getattr(a, f"__{op}__")(b)
+    g = rng.normal(size=out.shape)
+    grads = out._backward(g)
+    x, y = a.data, b.data
+    expected = {
+        "add": (g, g.sum(axis=0)),
+        "sub": (g, (-g).sum(axis=0)),
+        "mul": (g * y, (g * x).sum(axis=0)),
+        "truediv": (g / y, (-g * x / (y * y)).sum(axis=0)),
+    }[op]
+    for need, grad, expect in zip(needs, grads, expected):
+        if need:
+            np.testing.assert_array_equal(grad, expect)
+        else:
+            assert grad is None
+
+
+def retained_backward(root):
+    """The walk before backward consumed its graph: every node keeps its gradient."""
+    root.grad = np.ones_like(root.data)
+    for node in reversed(root._toposort()):
+        if node._backward is None or node.grad is None:
+            continue
+        for parent, g in zip(node._parents, node._backward(node.grad)):
+            if g is None or not parent.requires_grad:
+                continue
+            parent.grad = g if parent.grad is None else parent.grad + g
+
+
+class TestConsumingBackward:
+    """backward frees the graph as it walks it and leaves only leaf gradients."""
+
+    @staticmethod
+    def forward(x, w, b):
+        # x feeds the product and the gate, w both products: leaves used twice
+        h = gelu(linear(x, w, b))
+        y = softmax(h * x) - Tensor(np.full(3, 0.5))
+        return (y * y).sum() + (h @ w).mean(), (h, y)
+
+    def test_leaf_grads_equal_the_retained_walk_and_interiors_are_freed(self):
+        rng = np.random.default_rng(50)
+        args = leaves(rng, (4, 3), (3, 3), (3,))
+        ref = twins(args)
+        loss, interiors = self.forward(*args)
+        loss.backward()
+        ref_loss, ref_interiors = self.forward(*ref)
+        retained_backward(ref_loss)
+        for a, b in zip(args, ref):
+            np.testing.assert_array_equal(a.grad, b.grad)
+        for t in (loss, *interiors):
+            assert t.grad is None and t._parents is None
+        assert all(t.grad is not None for t in ref_interiors)
+
+    def test_second_walk_through_a_consumed_node_raises(self):
+        rng = np.random.default_rng(51)
+        x, w, b = leaves(rng, (4, 3), (3, 3), (3,))
+        loss, _ = self.forward(x, w, b)
+        loss.backward()
+        with pytest.raises(ValueError, match="consumed"):
+            loss.backward()
+        # two losses over one forward: the second walk stops before touching a leaf
+        x.grad = w.grad = None
+        h = x @ w
+        h.sum().backward()
+        first = x.grad.copy()
+        with pytest.raises(ValueError, match="consumed"):
+            (h * h + x).sum().backward()
+        np.testing.assert_array_equal(x.grad, first)
+
+    def test_peak_memory_stays_below_the_retained_walk(self):
+        import tracemalloc
+
+        def peak(walk):
+            x = Tensor(np.random.default_rng(52).normal(size=(128, 1024)), requires_grad=True)
+            y = x
+            for _ in range(16):  # 1 MiB per value, per gradient
+                y = (y * 0.5).tanh()
+            loss = y.sum()
+            del y
+            tracemalloc.start()
+            try:
+                walk(loss)
+                return tracemalloc.get_traced_memory()[1], x.grad
+            finally:
+                tracemalloc.stop()
+
+        consumed, g = peak(Tensor.backward)
+        retained, ref = peak(retained_backward)
+        np.testing.assert_array_equal(g, ref)
+        assert retained > 16 * 2**20  # one gradient per node stays alive
+        assert consumed < retained / 4
+
+    def test_seed_gradient_must_have_the_root_shape(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(DimensionError, match=r"\(2, 3\)"):
+            (x * 2).backward(np.ones((2, 3)))
+        with pytest.raises(DimensionError, match=r"\(4,\)"):
+            (x * 2).sum().backward(np.ones(4))
+        (x * 2).backward(np.ones(3))
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
