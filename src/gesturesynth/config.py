@@ -33,7 +33,7 @@ class ScheduleConfig(JsonConfig):
 @dataclass(frozen=True)
 class SampleConfig(JsonConfig):
     window: int = 34       # frames generated per clip
-    overlap: int = 4       # crossfaded seam between consecutive clips
+    overlap: int = 4       # frames each window takes, pinned, from the previous window's tail
     variance: str = "beta"
 
     def __post_init__(self):

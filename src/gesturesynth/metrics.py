@@ -14,6 +14,7 @@ beat sets.
 
 from __future__ import annotations
 
+import csv
 import warnings
 from dataclasses import dataclass, field
 
@@ -350,8 +351,9 @@ class MetricsReport:
         return out
 
     def write_csv(self, path):
-        with _atomic_open(path) as fh:
-            fh.write("metric,value\n")
+        with _atomic_open(path, newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["metric", "value"])
             for key, value in self.rows():
                 value = repr(float(value)) if isinstance(value, (int, float, np.floating)) else value
-                fh.write(f"{key},{value}\n")
+                writer.writerow([key, value])

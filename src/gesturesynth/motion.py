@@ -499,35 +499,30 @@ def window(seq: GestureSequence, n_clip: int = 34, stride: int = 10):
     return [seq.with_frames(seq.frames[s : s + n_clip].copy()) for s in starts]
 
 
-def crossfade_weights(overlap: int) -> np.ndarray:
-    """Incoming-clip blend weights (i+1)/(overlap+1) for i in [0, overlap)."""
-    return (np.arange(overlap, dtype=np.float64) + 1.0) / (overlap + 1.0)
+def stitch(clips, overlap: int) -> GestureSequence:
+    """Join clips at their pins: the first whole, each later one from frame `overlap`.
 
-
-def stitch(clips, overlap: int = 4) -> GestureSequence:
-    """Concatenate clips, linearly crossfading each overlap-frame seam."""
+    Each clip's first ``overlap`` frames repeat the previous clip's tail (the
+    pin), so they are taken once, from the earlier clip.
+    """
     if not clips:
         raise ConfigError("stitch needs at least one clip")
     if overlap < 0:
         raise ConfigError(f"overlap must be non-negative, got {overlap}")
+    first = clips[0]
+    seams = len(clips) > 1  # a join of one clip is a copy, whatever its length
     for clip in clips:
-        if overlap >= clip.n_frames:
+        if seams and overlap >= clip.n_frames:
             raise ConfigError(
                 f"overlap {overlap} must be smaller than every clip "
                 f"(found a {clip.n_frames}-frame clip)"
             )
-    first = clips[0]
-    out = first.frames.copy()
-    w = crossfade_weights(overlap).reshape(-1, 1, 1)
-    for clip in clips[1:]:
         if clip.n_joints != first.n_joints:
             raise DimensionError(
                 f"cannot stitch clips with {first.n_joints} and {clip.n_joints} joints"
             )
-        if overlap:
-            out[-overlap:] = out[-overlap:] * (1.0 - w) + clip.frames[:overlap] * w
-        out = np.concatenate([out, clip.frames[overlap:]], axis=0)
-    return first.with_frames(out)
+    parts = [first.frames] + [clip.frames[overlap:] for clip in clips[1:]]
+    return first.with_frames(np.concatenate(parts, axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,10 @@
 """End-to-end generation and evaluation on top of the trained denoiser.
 
-Generation windows the input audio, samples each window with the reverse
-chain, and stitches consecutive clips with a short crossfaded overlap.
-Continuity across windows comes from pinning each window's first
-``overlap`` frames to the previous clip's tail (the seed-pose mechanism).
-Those frames equal the tail bit for bit, so the crossfade computes
-``a*(1-w) + a*w`` on equal frames: it only re-rounds them in the last
-bits, and is kept because dropping it would change the output bytes.
+Generation windows the input audio and samples each window with the
+reverse chain.  Continuity across windows comes from pinning each window's
+first ``overlap`` frames to the previous clip's tail (the seed-pose
+mechanism), so the pin is the one definition of a seam: ``stitch`` joins
+the clips by taking those frames once, from the earlier clip.
 
 Evaluation follows a fixed protocol: encode real and generated clips with
 the frozen feature extractor, fit Gaussians, score the distribution
@@ -103,8 +101,6 @@ def generate_motion(
                                     variance=sample_cfg.variance)
         clips.append(clip)
         prev_tail = clip.frames[clip.n_frames - sample_cfg.overlap :]
-    if len(clips) == 1:
-        return clips[0]
     return stitch(clips, overlap=sample_cfg.overlap)
 
 
@@ -112,7 +108,10 @@ def parse_joint_mask(skeleton, spec: str) -> np.ndarray:
     """Mask of joints to regenerate: a group name or comma-separated joints."""
     spec = spec.strip()
     if spec in JOINT_GROUPS:
-        return joint_group_mask(skeleton, spec)
+        mask = joint_group_mask(skeleton, spec)
+        if spec != "none" and not mask.any():
+            raise ConfigError(f"joint group {spec!r} selects no joint of this skeleton")
+        return mask
     mask = np.zeros(skeleton.joint_count, dtype=bool)
     index = {name: i for i, name in enumerate(skeleton.joint_names)}
     for raw_name in spec.split(","):

@@ -280,6 +280,17 @@ class TestEdit:
         assert code == 2
         assert "joint_0" in capsys.readouterr().err
 
+    def test_group_selecting_no_joint_is_argument_error(self, ws, tmp_path, capsys):
+        # the toy skeleton has no hand joints
+        out = tmp_path / "x.motion"
+        code = main(["edit", "--checkpoint", str(ws["checkpoint"]),
+                     "--reference", str(ws["motion"]), "--mask", "left_hand",
+                     "--audio", str(ws["audio"]), "--out", str(out),
+                     "--config", str(ws["config"])])
+        assert code == 2
+        assert "left_hand" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_report_written(self, ws, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Metric oracles: Fréchet distance, keypoint recall, beat extraction/alignment."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -374,3 +376,16 @@ class TestMetricsReport:
         parsed = dict(line.split(",") for line in lines[1:])
         assert float(parsed["fgd"]) == 1.25
         assert float(parsed["beat_align"]) == 0.75
+
+        # two repeats: the per-repeat list holds a comma, yet stays one field
+        report = MetricsReport(fgd=1.0, srgr=0.5, beat_align=0.75,
+                               details={"repeats": 2, "fgd_per_repeat": [1.1, 0.9]})
+        report.write_csv(tmp_path / "repeats.csv")
+        text = (tmp_path / "repeats.csv").read_text()
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == ["metric", "value"]
+        assert all(len(row) == 2 for row in rows)
+        parsed = dict(rows[1:])
+        assert parsed["fgd_per_repeat"] == "[1.1, 0.9]"
+        assert float(parsed["repeats"]) == 2.0
+        assert "repeats,2.0\n" in text  # scalar rows keep their bytes

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 from gesturesynth.config import (
     EvalConfig,
@@ -30,8 +30,9 @@ from gesturesynth.experiments import (
     format_comparison,
 )
 from gesturesynth.metrics import ExtractorConfig, train_extractor
-from gesturesynth.model import GestureDenoiser, toy_config
-from gesturesynth.motion import GestureSequence, generic_skeleton
+from gesturesynth import pipeline
+from gesturesynth.model import GestureDenoiser, randomize_parameters, toy_config
+from gesturesynth.motion import GestureSequence, generic_skeleton, stitch
 from gesturesynth.pipeline import (
     _window_plan,
     edit_motion,
@@ -43,6 +44,7 @@ from gesturesynth.pipeline import (
 )
 from gesturesynth.rng import stream
 from gesturesynth.training import TrainConfig, train
+from test_training import load_tracer_module
 
 
 @pytest.fixture(scope="module")
@@ -177,8 +179,29 @@ class TestGenerateMotion:
                                emotion=1, master_seed=11)
         single = generate_motion(model, audio[:20], schedule, sample_cfg=cfg,
                                  emotion=1, master_seed=11)
-        assert_array_equal(full.frames[:16], single.frames[:16])
-        assert_allclose(full.frames[16:20], single.frames[16:20], atol=1e-9)
+        assert_array_equal(full.frames[:20], single.frames)
+
+    def test_seams_equal_the_earlier_window_tail(self, model, schedule, monkeypatch):
+        clips = []
+
+        def keep_clips(parts, overlap):
+            clips.extend(parts)
+            return stitch(parts, overlap)
+
+        monkeypatch.setattr(pipeline, "stitch", keep_clips)
+        out = generate_motion(model, make_audio(60), schedule,
+                              sample_cfg=SampleConfig(window=20, overlap=4),
+                              emotion=1, master_seed=11)
+        spans = _window_plan(60, 20, 4)
+        assert len(clips) == len(spans) == 4
+        for (start, _), earlier in zip(spans[1:], clips):
+            assert_array_equal(out.frames[start : start + 4], earlier.frames[-4:])
+
+    @pytest.mark.parametrize("n_frames", [2, 4])
+    def test_audio_within_the_overlap_is_one_window(self, model, schedule, n_frames):
+        # one window no longer than the default overlap: no seam, nothing cut
+        out = generate_motion(model, make_audio(n_frames), schedule, emotion=0)
+        assert out.n_frames == n_frames
 
     def test_seed_pose_pins_first_frames(self, model, schedule):
         audio = make_audio(30)
@@ -200,6 +223,34 @@ class TestGenerateMotion:
             generate_motion(model, make_audio(30), schedule, emotion=99)
 
 
+class TestTracedLongform:
+    def test_tracer_keeps_frames_and_records_each_window(self, schedule):
+        model = GestureDenoiser(toy_config(), stream(12, "init"))
+        randomize_parameters(model, stream(12, "rand"))
+        audio = make_audio(60)
+        seed = stream(12, "pose").standard_normal((3, 6, 3))
+        cfg = SampleConfig(window=20, overlap=4)
+
+        def run():
+            return generate_motion(model, audio, schedule, sample_cfg=cfg,
+                                   seed_pose=seed, master_seed=12)
+
+        plain = run()
+        tracing = load_tracer_module()
+        tracer = tracing.Tracer()
+        tracer.install(model)
+        try:
+            traced = run()
+        finally:
+            tracer.uninstall()
+        assert_array_equal(traced.frames, plain.frames)
+        names = [s[tracing.NAME] for s in tracer.spans]
+        assert names.count("motion.stitch") == 1
+        pinned = [s[tracing.NOTE]["pinned"] for s in tracer.spans
+                  if s[tracing.NAME] == "diffusion.chain"]
+        assert pinned == [3, 4, 4, 4]
+
+
 class TestJointMask:
     def test_group_name(self):
         skel = generic_skeleton(6)
@@ -214,6 +265,12 @@ class TestJointMask:
     def test_unknown_joint_rejected(self):
         with pytest.raises(ConfigError, match="wrist"):
             parse_joint_mask(generic_skeleton(6), "wrist")
+
+    @pytest.mark.parametrize("group", ["left_hand", "right_hand", "hands"])
+    def test_group_selecting_no_joint_rejected(self, group):
+        # a generic skeleton has no hand joints; only "none" may select nothing
+        with pytest.raises(ConfigError, match=group):
+            parse_joint_mask(generic_skeleton(6), group)
 
 
 class TestEditMotion:
