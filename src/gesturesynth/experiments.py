@@ -17,7 +17,7 @@ from .errors import ConfigError, ContractError
 from .metrics import train_extractor
 from .model import GestureDenoiser
 from .motion import frames_of
-from .pipeline import evaluate, generate_motion
+from .pipeline import evaluate, generate_motion, map_chains
 from .rng import stream
 from .training import train
 
@@ -98,15 +98,19 @@ def emotion_transfer_eval(
     """
     sample_cfg = sample_cfg or SampleConfig()
     n_emotions = model.config.n_emotions
+
+    def chain(j):
+        intended, k = divmod(j, clips_per_emotion)
+        seq = generate_motion(
+            model, audio_features, schedule, stats=stats,
+            sample_cfg=sample_cfg, emotion=intended,
+            master_seed=master_seed, seed_labels=("transfer", intended, k),
+        )
+        return intended, classifier.predict(seq)
+
     confusion = np.zeros((n_emotions, n_emotions), dtype=int)
-    for intended in range(n_emotions):
-        for k in range(clips_per_emotion):
-            seq = generate_motion(
-                model, audio_features, schedule, stats=stats,
-                sample_cfg=sample_cfg, emotion=intended,
-                master_seed=master_seed, seed_labels=("transfer", intended, k),
-            )
-            confusion[intended, classifier.predict(seq)] += 1
+    for intended, predicted in map_chains(chain, n_emotions * clips_per_emotion):
+        confusion[intended, predicted] += 1
     accuracy = float(np.trace(confusion)) / confusion.sum()
     return TransferResult(accuracy=accuracy, confusion=confusion,
                           clips_per_emotion=clips_per_emotion)

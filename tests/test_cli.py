@@ -29,6 +29,7 @@ from gesturesynth.model import load_checkpoint, save_checkpoint
 from gesturesynth import motion as motion_module
 from gesturesynth.motion import load_motion
 from gesturesynth.training import TrainConfig, read_loss_log
+from test_pipeline import fail_chains
 from test_training import half_then_fail
 
 
@@ -304,6 +305,13 @@ class TestEval:
         text = report.read_text()
         assert text.startswith("metric,value\n")
         assert "fgd," in text and "srgr," in text and "beat_align," in text
+
+    def test_failing_chain_exits_3(self, ws, monkeypatch, capsys):
+        fail_chains(monkeypatch)
+        code = main(["eval", "--checkpoint", str(ws["checkpoint"]),
+                     "--corpus", str(ws["corpus"]), "--config", str(ws["config"])])
+        assert code == 3
+        assert "error: chain 1 left its domain" in capsys.readouterr().err
 
     def test_empty_test_split_rejected(self, ws, tmp_path):
         broken = tmp_path / "broken"

@@ -5,6 +5,11 @@ determinism, and preservation invariants, which do not depend on sample
 quality.  Quality-dependent claims live in the acceptance suite.
 """
 
+import ctypes
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +24,7 @@ from gesturesynth.config import (
 )
 from gesturesynth.corpus import generate_corpus, toy_corpus_config
 from gesturesynth.diffusion import make_schedule
-from gesturesynth.errors import ConfigError, ContractError
+from gesturesynth.errors import ConfigError, ContractError, NumericError
 from gesturesynth import experiments
 from gesturesynth.experiments import (
     GestureEmotionClassifier,
@@ -75,6 +80,51 @@ def extractor(splits):
 
 def make_audio(n_frames, seed=3):
     return stream(seed, "audio").standard_normal((n_frames, 20)) * 0.3
+
+
+def blas_threads():
+    """Thread count of the OpenBLAS library numpy loaded, or None."""
+    with open("/proc/self/maps") as fh:
+        libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return fn()
+    return None
+
+
+def fail_chains(monkeypatch, chains=(1, 3)):
+    """Make ``pipeline.generate_motion`` raise NumericError on the given clips.
+
+    The first failing chain waits before it raises, so on the worker pool a
+    later chain's error arrives first.
+    """
+    original = pipeline.generate_motion
+
+    def generate(*args, seed_labels=(), **kwargs):
+        i = seed_labels[-1]
+        if i in chains:
+            if i == chains[0]:
+                time.sleep(0.3)
+            raise NumericError(f"chain {i} left its domain")
+        return original(*args, seed_labels=seed_labels, **kwargs)
+
+    monkeypatch.setattr(pipeline, "generate_motion", generate)
+
+
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+needs_pool = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+    or pipeline._blas_thread_setter() is None,
+    reason="the chain pool needs two CPUs and an OpenBLAS thread setter",
+)
 
 
 class TestWindowPlan:
@@ -391,6 +441,63 @@ class TestScoring:
         assert f"extractor_final_mse: {mse}" in report.text()
         report.write_csv(tmp_path / "report.csv")
         assert f"extractor_final_mse,{mse!r}\n" in (tmp_path / "report.csv").read_text()
+
+
+@needs_pool
+class TestMapChains:
+    """The worker pool against the one-CPU path that runs chains in-process."""
+
+    def test_evaluate_pool_equals_one_cpu(self, model, extractor, splits, schedule,
+                                          monkeypatch):
+        kwargs = dict(eval_cfg=EvalConfig(repeats=2),
+                      sample_cfg=SampleConfig(window=34, overlap=4), master_seed=5)
+        pooled = evaluate(model, extractor, splits.test[:3], schedule, **kwargs)
+        assert multiprocessing.active_children() == []
+        one_cpu(monkeypatch)
+        serial = evaluate(model, extractor, splits.test[:3], schedule, **kwargs)
+        assert (pooled.fgd, pooled.srgr, pooled.beat_align, pooled.details) == \
+            (serial.fgd, serial.srgr, serial.beat_align, serial.details)
+
+    def test_transfer_pool_equals_one_cpu(self, model, classifier, splits, schedule,
+                                          monkeypatch):
+        kwargs = dict(sample_cfg=SampleConfig(window=34, overlap=4),
+                      clips_per_emotion=2, master_seed=5)
+        audio = splits.val[0].audio.features
+        pooled = emotion_transfer_eval(model, classifier, audio, schedule, **kwargs)
+        assert multiprocessing.active_children() == []
+        one_cpu(monkeypatch)
+        serial = emotion_transfer_eval(model, classifier, audio, schedule, **kwargs)
+        assert_array_equal(pooled.confusion, serial.confusion)
+        assert pooled.accuracy == serial.accuracy
+
+    def test_first_failing_chain_is_reraised(self, model, extractor, splits, schedule,
+                                             monkeypatch):
+        fail_chains(monkeypatch)
+        raised = []
+        for cpus in (os.sched_getaffinity(0), {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            with pytest.raises(NumericError) as info:
+                evaluate(model, extractor, splits.test[:4], schedule,
+                         eval_cfg=EvalConfig(repeats=1),
+                         sample_cfg=SampleConfig(window=34, overlap=4))
+            raised.append((type(info.value), str(info.value)))
+            assert multiprocessing.active_children() == []
+        assert raised == [(NumericError, "chain 1 left its domain")] * 2
+
+    def test_workers_run_one_blas_thread(self):
+        before = blas_threads()
+
+        def probe(i):
+            time.sleep(0.2)  # long enough that every worker takes a chain
+            return os.getpid(), blas_threads()
+
+        seen = pipeline.map_chains(probe, 4)
+        assert [count for _, count in seen] == [1] * 4
+        workers = {pid for pid, _ in seen}
+        assert os.getpid() not in workers
+        assert len(workers) == min(4, len(os.sched_getaffinity(0)))
+        assert blas_threads() == before
+        assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="module")
