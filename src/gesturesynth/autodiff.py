@@ -10,10 +10,13 @@ through a consumed node raises ValueError. The data buffer of a tensor is
 treated as immutable once an op has consumed it.
 
 ``linear`` (``x @ W + b``), ``scaled_dot_attention`` (with ``heads``, also
-the head split and merge) and ``Tensor.mean`` are one node each, with the
-values and gradients of their composites bit for bit. ``@`` is ``linear``
-without a bias, whose backward returns None, and forms no product, for an
-operand that needs no gradient; so do ``+``, ``-``, ``*`` and ``/``.
+the head split and merge) and ``Tensor.mean`` are one node each. Attention
+and ``mean`` keep the values and gradients of their composites bit for bit.
+``linear`` with a matrix ``W`` forms one product over all leading axes of
+``x``: bit for bit with matmul then add for a 2-D ``x`` or a batch of one,
+within the last bits of it for a larger batch. ``@`` is ``linear`` without
+a bias, whose backward returns None, and forms no product, for an operand
+that needs no gradient; so do ``+``, ``-``, ``*`` and ``/``.
 """
 
 from contextlib import contextmanager
@@ -293,7 +296,16 @@ def as_tensor(x) -> Tensor:
 
 
 def linear(x, W, b=None) -> Tensor:
-    """x @ W + b as one node, or x @ W without `b`; the arithmetic of matmul then add."""
+    """x @ W + b as one node, or x @ W without `b`; the arithmetic of matmul then add.
+
+    For a matrix `W`, all leading axes of `x` fold into rows, so the
+    forward, the input gradient and the weight gradient are one product
+    each. With one row block (a 2-D `x`, or B=1) that is the product matmul
+    forms per slice, bit for bit; with more, the batch sum of the weight
+    gradient happens inside the product and rounds differently in the last
+    bits. A `W` of three or more dims (no model layer has one) is a stack
+    of matrices broadcast against `x`, as in matmul.
+    """
     x, W = as_tensor(x), as_tensor(W)
     a, w = x.data, W.data
     if a.ndim < 2 or w.ndim < 2:
@@ -301,17 +313,30 @@ def linear(x, W, b=None) -> Tensor:
     if a.shape[-1] != w.shape[-2]:
         raise DimensionError(f"matmul inner extents differ: {a.shape} @ {w.shape}")
     b = None if b is None else as_tensor(b)
+    if w.ndim == 2:
+        a2 = a.reshape(-1, a.shape[-1])
+        out = (a2 @ w).reshape(a.shape[:-1] + w.shape[1:])
+
+        def products(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return ((g2 @ w.T).reshape(x.shape) if x.requires_grad else None,
+                    a2.T @ g2 if W.requires_grad else None)
+    else:
+        out = a @ w
+
+        def products(g):
+            return (
+                _unbroadcast(g @ w.swapaxes(-1, -2), x.shape) if x.requires_grad else None,
+                _unbroadcast(a.swapaxes(-1, -2) @ g, W.shape) if W.requires_grad else None,
+            )
 
     def back(g):  # without a bias, the third slot has no parent and is ignored
-        return (
-            _unbroadcast(g @ w.swapaxes(-1, -2), x.shape) if x.requires_grad else None,
-            _unbroadcast(a.swapaxes(-1, -2) @ g, W.shape) if W.requires_grad else None,
-            _unbroadcast(g, b.shape) if b is not None and b.requires_grad else None,
-        )
+        return (*products(g),
+                _unbroadcast(g, b.shape) if b is not None and b.requires_grad else None)
 
     if b is None:
-        return _node(a @ w, (x, W), back)
-    return _node(a @ w + b.data, (x, W, b), back)
+        return _node(out, (x, W), back)
+    return _node(out + b.data, (x, W, b), back)
 
 
 def concat(tensors, axis=0):

@@ -10,6 +10,8 @@ import zlib
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def _label_key(label) -> int:
     if isinstance(label, (int, np.integer)):
@@ -18,6 +20,13 @@ def _label_key(label) -> int:
 
 
 def stream(master_seed: int, *labels) -> np.random.Generator:
-    """Return an independent generator keyed by (master_seed, *labels)."""
-    entropy = (int(master_seed),) + tuple(_label_key(l) for l in labels)
+    """Return an independent generator keyed by (master_seed, *labels).
+
+    Every seed of the package passes through here, so a negative one (which
+    SeedSequence cannot take) is rejected here as a ConfigError.
+    """
+    seed = int(master_seed)
+    if seed < 0:
+        raise ConfigError(f"seeds must be integers >= 0, got {seed}")
+    entropy = (seed,) + tuple(_label_key(l) for l in labels)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))

@@ -430,6 +430,14 @@ class CountingGrad:
     def __init__(self, a):
         self.a, self.products = a, 0
 
+    @property
+    def shape(self):
+        return self.a.shape
+
+    def reshape(self, *shape):  # the folded rows keep counting into this probe
+        self.a = self.a.reshape(*shape)
+        return self
+
     def __matmul__(self, other):
         self.products += 1
         return self.a @ other
@@ -558,12 +566,74 @@ class TestOneNodeOps:
         probe = CountingGrad(g)
         grads = out._backward(probe)
         assert probe.products == sum(needs)
-        expected = (g @ w.data.T, (x.data.swapaxes(1, 2) @ g).sum(axis=0), None)
+        rows, g_rows = x.data.reshape(-1, 4), g.reshape(-1, 5)
+        expected = ((g_rows @ w.data.T).reshape(x.shape), rows.T @ g_rows, None)
         for need, grad, expect in zip(needs + (False,), grads, expected):
             if need:
                 np.testing.assert_array_equal(grad, expect)
             else:
                 assert grad is None
+
+
+# (x, W) products of the perfbench model shape at B=16: the attention and
+# feed-forward Linears, the input and output heads, the joint branch, and
+# the time collapse, whose x is a transposed view of a (B, n, 36) array.
+FOLD_SHAPES = {
+    "d128-d128": ((16, 34, 128), (128, 128), False),
+    "ffn-in": ((16, 34, 128), (128, 256), False),
+    "ffn-out": ((16, 34, 256), (256, 128), False),
+    "frame-embed": ((16, 34, 36), (36, 128), False),
+    "out-head": ((16, 34, 128), (128, 36), False),
+    "joint-branch": ((16, 13, 32), (32, 32), False),
+    "time-collapse": ((16, 36, 34), (34, 1), True),
+}
+
+
+def fold_operands(x_shape, w_shape, transposed, seed):
+    rng = np.random.default_rng(seed)
+    if transposed:
+        x = rng.normal(size=x_shape[:-2] + x_shape[:-3:-1]).swapaxes(-1, -2)
+    else:
+        x = rng.normal(size=x_shape)
+    w = rng.normal(size=w_shape)
+    g = rng.normal(size=x_shape[:-1] + w_shape[1:])
+    return x, w, g
+
+
+def fold_and_reference(x, w, g):
+    """linear's value and gradients, and per-slice matmul's, the batch summed after."""
+    tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    out = linear(tx, tw)
+    out.backward(g)
+    gw = x.swapaxes(-1, -2) @ g
+    ref = (np.matmul(x, w), np.matmul(g, w.T), gw.sum(axis=0) if gw.ndim == 3 else gw)
+    return (out.data, tx.grad, tw.grad), ref
+
+
+class TestLinearFold:
+    """A matrix W takes one product over all leading axes of x, each way."""
+
+    @pytest.mark.parametrize("name", sorted(FOLD_SHAPES) + ["2-D"])
+    def test_one_row_block_equals_per_slice_matmul_bit_for_bit(self, name):
+        if name == "2-D":  # the time MLP and classifier heads: a (B, d) input
+            x, w, g = fold_operands((16, 64), (64, 8), False, 60)
+        else:
+            x_shape, w_shape, transposed = FOLD_SHAPES[name]
+            x, w, g = fold_operands((1,) + x_shape[1:], w_shape, transposed, 61)
+        got, ref = fold_and_reference(x, w, g)
+        for a, b in zip(got, ref):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("name", sorted(FOLD_SHAPES))
+    def test_batch_is_within_last_bits_of_batched_then_summed(self, name):
+        got, ref = fold_and_reference(*fold_operands(*FOLD_SHAPES[name], 62))
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_matrix_needs_two_dims(self):
+        with pytest.raises(DimensionError, match=r"\(3,\)"):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
 
 
 @pytest.mark.parametrize("op", ["add", "sub", "mul", "truediv"])

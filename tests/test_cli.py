@@ -480,6 +480,39 @@ class TestParser:
         assert code == 2
         assert not (out / "config.json").exists()
 
+    @pytest.mark.parametrize("command, seed_flag, config_patch", [
+        ("gen-data", "-1", None),
+        ("sample", "-2", None),
+        ("edit", "-1", None),
+        ("train", None, {"master_seed": -5}),
+        ("train", None, {"training": {"seed": -1}}),
+        ("gen-data", None, {"corpus": {"master_seed": -1}}),
+    ], ids=["gen-data-flag", "sample-flag", "edit-flag", "train-master-seed",
+            "train-training-seed", "gen-data-corpus-seed"])
+    def test_negative_seed_is_argument_error(self, ws, tmp_path, capsys, command,
+                                             seed_flag, config_patch):
+        cfg = json.loads(ws["config"].read_text())
+        for section, value in (config_patch or {}).items():
+            if isinstance(value, dict):
+                cfg[section].update(value)
+            else:
+                cfg[section] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        argv = {
+            "gen-data": ["--out", str(out), "--samples", "10"],
+            "train": ["--corpus", str(ws["corpus"]), "--out", str(out)],
+            "sample": ["--checkpoint", str(ws["checkpoint"]), "--audio", str(ws["audio"]),
+                       "--out", str(out)],
+            "edit": ["--checkpoint", str(ws["checkpoint"]), "--reference", str(ws["motion"]),
+                     "--mask", "joint_1", "--audio", str(ws["audio"]), "--out", str(out)],
+        }[command]
+        if seed_flag is not None:
+            argv += ["--seed", seed_flag]
+        assert main([command, *argv, "--config", str(path)]) == 2
+        assert "seeds must be integers >= 0" in capsys.readouterr().err
+
     def test_unknown_config_key_is_argument_error(self, ws, tmp_path):
         cfg = json.loads(ws["config"].read_text())
         cfg["mystery"] = {}

@@ -2,6 +2,9 @@
 
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +21,12 @@ from gesturesynth.metrics import MetricsReport
 from gesturesynth.motion import (DatasetStats, GestureSequence, _write_json,
                                  export_motion_csv, generic_skeleton)
 from gesturesynth.rng import stream
+from gesturesynth import training
 from gesturesynth.training import (
     LossWeights,
     TrainConfig,
     build_training_items,
+    keep_heap,
     loss_ce,
     loss_mse,
     loss_rec,
@@ -319,13 +324,73 @@ class TestTrainLoop:
             train(model, samples, schedule, cfg)
 
 
-def load_tracer_module():
-    """perfbench/tracing.py, imported by path: perfbench is not a package."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+# one tiny training run in a fresh process, its heap policy left alone or
+# with mallopt missing; prints a digest of the loss rows and final weights
+_HEAP_RUN = """
+import hashlib, sys
+from gesturesynth import training
+from test_training import tiny_setup
+if sys.argv[1] == "without":
+    training._libc_mallopt = lambda: None
+model, samples, schedule, cfg = tiny_setup()
+rows = training.train(model, samples, schedule, cfg).rows
+h = hashlib.sha256(repr(rows).encode())
+for p in model.params().values():
+    h.update(p.data.tobytes())
+print(h.hexdigest())
+"""
+
+
+class TestHeapPolicy:
+    @pytest.fixture(autouse=True)
+    def fresh_policy(self):
+        keep_heap.cache_clear()
+        yield
+        keep_heap.cache_clear()  # the next train() sets the real policy again
+
+    def test_sets_both_thresholds_once(self, monkeypatch):
+        calls = []
+
+        def fake_mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(training, "_libc_mallopt", lambda: fake_mallopt)
+        keep_heap()
+        keep_heap()
+        assert calls == [(-1, 256 << 20), (-3, 32 << 20)]
+
+    def test_twice_with_the_real_allocator_is_harmless(self):
+        keep_heap()
+        keep_heap()
+        model, samples, schedule, cfg = tiny_setup(n_steps=2)
+        assert len(train(model, samples, schedule, cfg).rows) == 2
+
+    def test_without_mallopt_is_a_noop(self, monkeypatch):
+        monkeypatch.setattr(training, "_libc_mallopt", lambda: None)
+        assert keep_heap() is None
+
+    def test_losses_and_weights_equal_with_and_without_it(self):
+        tests = Path(__file__).resolve().parent
+        path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        digests = [subprocess.run([sys.executable, "-c", _HEAP_RUN, mode], env=env,
+                                  capture_output=True, text=True, check=True).stdout
+                   for mode in ("with", "without")]
+        assert len(digests[0].strip()) == 64 and digests[0] == digests[1]
+
+
+def load_perfbench_module(name):
+    """perfbench/<name>.py, imported by path: perfbench is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer_module():
+    return load_perfbench_module("tracing")
 
 
 class TestTracedTraining:
