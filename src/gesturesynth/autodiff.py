@@ -12,11 +12,14 @@ treated as immutable once an op has consumed it.
 ``linear`` (``x @ W + b``), ``scaled_dot_attention`` (with ``heads``, also
 the head split and merge) and ``Tensor.mean`` are one node each. Attention
 and ``mean`` keep the values and gradients of their composites bit for bit.
-``linear`` with a matrix ``W`` forms one product over all leading axes of
-``x``: bit for bit with matmul then add for a 2-D ``x`` or a batch of one,
-within the last bits of it for a larger batch. ``@`` is ``linear`` without
-a bias, whose backward returns None, and forms no product, for an operand
-that needs no gradient; so do ``+``, ``-``, ``*`` and ``/``.
+``linear`` forms its forward per item: a stacked ``x`` takes the product
+each item takes alone, so a batch is a stack of independent items and its
+values equal B=1 calls bit for bit. Its backward with a matrix ``W`` folds
+all leading axes of ``x`` into one product per direction: bit for bit with
+per-slice matmul for a 2-D ``x`` or a batch of one, within the last bits of
+it for a larger batch. ``@`` is ``linear`` without a bias, whose backward
+returns None, and forms no product, for an operand that needs no gradient;
+so do ``+``, ``-``, ``*`` and ``/``.
 """
 
 from contextlib import contextmanager
@@ -298,13 +301,15 @@ def as_tensor(x) -> Tensor:
 def linear(x, W, b=None) -> Tensor:
     """x @ W + b as one node, or x @ W without `b`; the arithmetic of matmul then add.
 
-    For a matrix `W`, all leading axes of `x` fold into rows, so the
-    forward, the input gradient and the weight gradient are one product
-    each. With one row block (a 2-D `x`, or B=1) that is the product matmul
-    forms per slice, bit for bit; with more, the batch sum of the weight
-    gradient happens inside the product and rounds differently in the last
-    bits. A `W` of three or more dims (no model layer has one) is a stack
-    of matrices broadcast against `x`, as in matmul.
+    The forward is matmul's: one product for a 2-D `x`, and one per item
+    for a stack, the same BLAS call that item makes alone, so no item's
+    value depends on its batch-mates. For a matrix `W` the backward folds
+    every leading axis of `x` into rows, so the input gradient and the
+    weight gradient are one product each; with one row block (a 2-D `x`,
+    or B=1) that is the per-slice product, bit for bit, and with more the
+    batch sum of the weight gradient happens inside the product and rounds
+    differently in the last bits. A `W` of three or more dims (no model
+    layer has one) is a stack of matrices broadcast against `x`.
     """
     x, W = as_tensor(x), as_tensor(W)
     a, w = x.data, W.data
@@ -313,17 +318,13 @@ def linear(x, W, b=None) -> Tensor:
     if a.shape[-1] != w.shape[-2]:
         raise DimensionError(f"matmul inner extents differ: {a.shape} @ {w.shape}")
     b = None if b is None else as_tensor(b)
+    out = a @ w
     if w.ndim == 2:
-        a2 = a.reshape(-1, a.shape[-1])
-        out = (a2 @ w).reshape(a.shape[:-1] + w.shape[1:])
-
         def products(g):
             g2 = g.reshape(-1, g.shape[-1])
             return ((g2 @ w.T).reshape(x.shape) if x.requires_grad else None,
-                    a2.T @ g2 if W.requires_grad else None)
+                    a.reshape(-1, a.shape[-1]).T @ g2 if W.requires_grad else None)
     else:
-        out = a @ w
-
         def products(g):
             return (
                 _unbroadcast(g @ w.swapaxes(-1, -2), x.shape) if x.requires_grad else None,

@@ -11,10 +11,14 @@ process walks t = T..1, each step forming the mean
 
 from the model's noise estimate and adding sigma_t * z (z = 0 on the last
 step).  The samplers call ``denoiser(x_t, t, condition)`` for eps_hat;
-``GestureDenoiser.denoise`` is one.  All of them run one chain that may pin
+``GestureDenoiser.denoise`` is one.  All of them run one path that may pin
 a subset of joints or frames to a reference motion: at every step the pinned
 entries are replaced with the forward corruption of the reference at that
 step, and after the final step they are overwritten with the reference exactly.
+Given a list of generators instead of one, that path steps a stack of
+independent chains in lockstep, one denoiser call per step, each chain
+drawing from its own generator; a denoiser that forms every item of a batch
+as it would alone (``denoise`` does) gives each chain the bytes it has alone.
 
 Timesteps are 1-based: t = 1 is the least-noised level and abar at t = 0 is
 defined as 1 (identity).
@@ -148,34 +152,63 @@ def reverse_step(x_t, t, eps_hat, schedule: NoiseSchedule, rng, variance: str = 
     return mean + np.sqrt(var) * rng.standard_normal(x_t.shape)
 
 
+class _Lockstep:
+    """Normal draws for a stack of chains: item c comes from chain c's own generator.
+
+    Each chain's generator sees the draws, in the order, that it would see
+    running alone, so no chain's values depend on its batch-mates.
+    """
+
+    def __init__(self, rngs):
+        self.rngs = rngs
+
+    def standard_normal(self, shape):
+        return np.stack([r.standard_normal(shape[1:]) for r in self.rngs])
+
+
 def _pinned_sample(denoiser, condition, ref, keep, schedule, rng, stats, skeleton,
                    fps, variance):
-    """The reverse chain with the entries where `keep` is True pinned to `ref`.
+    """Reverse chains with the entries where `keep` is True pinned to `ref`.
 
-    `ref` is (N, J, 3) in data space; `keep` broadcasts against it.  The RNG
-    draws depend only on whether anything is kept, so pinning nothing is
-    ``sample`` bit for bit.
+    `rng` is one generator for one chain, or a list of B generators for B
+    chains stepped in lockstep: one denoiser call per step on the (B, N, J, 3)
+    stack, whose `condition` holds B stacked clips.  One chain calls the
+    denoiser on (N, J, 3) and returns one sequence; B chains return a list.
+    `ref` is (N, J, 3), shared, or (B, N, J, 3) in data space; `keep`
+    broadcasts against one chain.  The RNG draws depend only on whether
+    anything is kept, so pinning nothing is ``sample`` bit for bit.
     """
+    one = not isinstance(rng, (list, tuple))
+    noise = _Lockstep([rng] if one else list(rng))
+    shape = (len(noise.rngs),) + ref.shape[-3:]
+    if ref.ndim == 4 and ref.shape[0] != shape[0]:
+        raise ContractError(f"{ref.shape[0]} pinned references for {shape[0]} chains")
     if skeleton is None:
-        skeleton = skeleton_for(ref.shape[1])
-    ref_norm = normalize(ref, stats) if stats is not None else ref
+        skeleton = skeleton_for(ref.shape[-2])
+    ref_norm = ref if stats is None else normalize(ref.reshape(-1, *ref.shape[-2:]),
+                                                   stats).reshape(ref.shape)
+    ref_norm = np.broadcast_to(ref_norm, shape)
     pin = bool(np.any(keep))
-    x = rng.standard_normal(ref.shape)
+    x = noise.standard_normal(shape)
     for t in range(schedule.n_steps, 0, -1):
         if pin:
-            noisy_ref = q_sample(ref_norm, t, rng.standard_normal(ref.shape), schedule)
+            noisy_ref = q_sample(ref_norm, t, noise.standard_normal(shape), schedule)
             x = np.where(keep, noisy_ref, x)
-        eps_hat = np.asarray(denoiser(x, t, condition), dtype=np.float64)
-        if eps_hat.shape != x.shape:
+        x_in = x[0] if one else x
+        eps_hat = np.asarray(denoiser(x_in, t, condition), dtype=np.float64)
+        if eps_hat.shape != x_in.shape:
             raise ContractError(
-                f"denoiser returned shape {eps_hat.shape} for input shape {x.shape}"
+                f"denoiser returned shape {eps_hat.shape} for input shape {x_in.shape}"
             )
-        x = reverse_step(x, t, eps_hat, schedule, rng, variance=variance)
+        x = reverse_step(x, t, eps_hat.reshape(shape), schedule, noise, variance=variance)
     if stats is not None:
-        x = denormalize(x, stats)
-    if not np.all(np.isfinite(x)):
-        raise NumericError("sampler produced non-finite values")
-    return GestureSequence(np.where(keep, ref, x), fps=fps, skeleton=skeleton)
+        x = denormalize(x.reshape(-1, *shape[-2:]), stats).reshape(shape)
+    seqs = []
+    for chain, r in zip(x, np.broadcast_to(ref, shape)):
+        if not np.all(np.isfinite(chain)):
+            raise NumericError("sampler produced non-finite values")
+        seqs.append(GestureSequence(np.where(keep, r, chain), fps=fps, skeleton=skeleton))
+    return seqs[0] if one else seqs
 
 
 def sample(
@@ -191,7 +224,11 @@ def sample(
     fps: float = 15.0,
     variance: str = "beta",
 ) -> GestureSequence:
-    """Generate a sequence from pure noise under the given condition."""
+    """Generate a sequence from pure noise under the given condition.
+
+    A list of B generators samples B chains in lockstep (see
+    ``_pinned_sample``) and returns B sequences.
+    """
     return _pinned_sample(denoiser, condition, np.zeros((n_frames, n_joints, 3)), False,
                           schedule, rng, stats, skeleton, fps, variance)
 
@@ -236,6 +273,8 @@ def seed_pose_sample(
     """Generate n_frames of motion whose leading frames are pinned to seed_pose.
 
     An empty seed pose pins nothing, so the chain replays ``sample`` exactly.
+    With a list of B generators, B chains run in lockstep, each pinned to
+    the shared (k, J, 3) pose or to its own item of a (B, k, J, 3) stack.
     """
     if isinstance(seed_pose, GestureSequence):
         skeleton = seed_pose.skeleton
@@ -243,13 +282,13 @@ def seed_pose_sample(
         seed = seed_pose.frames
     else:
         seed = np.asarray(seed_pose, dtype=np.float64)
-    if seed.ndim != 3 or seed.shape[2] != 3:
+    if seed.ndim not in (3, 4) or seed.shape[-1] != 3:
         raise ConfigError(f"seed pose must be (k, J, 3), got {seed.shape}")
-    k = seed.shape[0]
+    k = seed.shape[-3]
     if k > n_frames:
         raise ConfigError(f"seed pose has {k} frames but only {n_frames} requested")
-    ref = np.zeros((n_frames,) + seed.shape[1:])
-    ref[:k] = seed
+    ref = np.zeros(seed.shape[:-3] + (n_frames,) + seed.shape[-2:])
+    ref[..., :k, :, :] = seed
     keep = (np.arange(n_frames) < k).reshape(-1, 1, 1)
     return _pinned_sample(denoiser, condition, ref, keep, schedule, rng, stats, skeleton,
                           fps, variance)

@@ -17,7 +17,7 @@ from .errors import ConfigError, ContractError
 from .metrics import train_extractor
 from .model import GestureDenoiser
 from .motion import frames_of
-from .pipeline import evaluate, generate_motion, map_chains
+from .pipeline import evaluate, generate_chains
 from .rng import stream
 from .training import train
 
@@ -96,21 +96,18 @@ def emotion_transfer_eval(
     The audio is held fixed across emotions, so any systematic style change
     is attributable to the override alone.
     """
-    sample_cfg = sample_cfg or SampleConfig()
+    if clips_per_emotion < 1:
+        raise ConfigError(f"clips_per_emotion must be >= 1, got {clips_per_emotion}")
     n_emotions = model.config.n_emotions
-
-    def chain(j):
-        intended, k = divmod(j, clips_per_emotion)
-        seq = generate_motion(
-            model, audio_features, schedule, stats=stats,
-            sample_cfg=sample_cfg, emotion=intended,
-            master_seed=master_seed, seed_labels=("transfer", intended, k),
-        )
-        return intended, classifier.predict(seq)
-
+    chains = [dict(audio_features=audio_features, emotion=e, speaker=0,
+                   seed_labels=("transfer", e, k), fps=15.0)
+              for e in range(n_emotions) for k in range(clips_per_emotion)]
+    generated = generate_chains(model, chains, schedule, stats=stats,
+                                sample_cfg=sample_cfg or SampleConfig(),
+                                master_seed=master_seed)
     confusion = np.zeros((n_emotions, n_emotions), dtype=int)
-    for intended, predicted in map_chains(chain, n_emotions * clips_per_emotion):
-        confusion[intended, predicted] += 1
+    for c, seq in zip(chains, generated):
+        confusion[c["emotion"], classifier.predict(seq)] += 1
     accuracy = float(np.trace(confusion)) / confusion.sum()
     return TransferResult(accuracy=accuracy, confusion=confusion,
                           clips_per_emotion=clips_per_emotion)

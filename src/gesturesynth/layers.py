@@ -1,11 +1,12 @@
 """Transformer building blocks on top of the autodiff engine.
 
 Everything here works on stacked batches: sequences are (B, S, d) and
-conditioning vectors are (B, d_cond).  Blocks follow the pre-norm layout with
-conditional layer norm: the norm has no learned affine of its own, and a
-conditioning vector supplies a per-channel scale and shift through zero-init
-heads, so at initialization every block behaves as a vanilla pre-norm block
-and the conditioning pathway is exactly neutral.
+conditioning vectors are (B, 1, d_cond), so every product is formed per
+item.  Blocks follow the pre-norm layout with conditional layer norm: the
+norm has no learned affine of its own, and a conditioning vector supplies a
+per-channel scale and shift through zero-init heads, so at initialization
+every block behaves as a vanilla pre-norm block and the conditioning pathway
+is exactly neutral.
 """
 
 from __future__ import annotations
@@ -83,13 +84,10 @@ class ScaleShift(Module):
     def __init__(self, d, d_cond, rng):
         self.scale = Linear(d_cond, d, rng, zero_init=True)
         self.shift = Linear(d_cond, d, rng, zero_init=True)
-        self.d = d
 
     def affine(self, cond: Tensor):
-        """(gamma, beta), each (B, 1, d), from a (B, d_cond) conditioning vector."""
-        gamma = self.scale(cond) + 1.0
-        beta = self.shift(cond)
-        return gamma.reshape(-1, 1, self.d), beta.reshape(-1, 1, self.d)
+        """(gamma, beta), each (B, 1, d), from a (B, 1, d_cond) conditioning vector."""
+        return self.scale(cond) + 1.0, self.shift(cond)
 
     def __call__(self, x: Tensor, cond: Tensor) -> Tensor:
         gamma, beta = self.affine(cond)

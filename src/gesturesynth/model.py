@@ -225,9 +225,10 @@ class GestureDenoiser(Module):
         return self.audio_align(Tensor(self._interp_time(raw, n_frames)))
 
     def classify_audio(self, raw: np.ndarray, n_frames: int):
-        """Raw (B, M, D_raw) audio aligned to n_frames, and its mean frame's emotion logits."""
+        """Raw (B, M, D_raw) audio aligned to n_frames, and its mean frame's (B, E) logits."""
         aligned = self._align_tensor(raw, n_frames)
-        return aligned, self.emotion_phi(aligned.mean(axis=1))
+        logits = self.emotion_phi(aligned.mean(axis=1, keepdims=True))
+        return aligned, logits.reshape(-1, self.config.n_emotions)
 
     # ------------------------------------------------------------------
     # branches
@@ -243,7 +244,7 @@ class GestureDenoiser(Module):
         token = self.correlation_token + Tensor(np.zeros((b, 1, 1)))
         seq = concat([token, emb], axis=1) + Tensor(self._joint_pe)
         seq = self.joint_stack(seq, cond)
-        return seq[:, 0, :]
+        return seq[:, :1, :]
 
     def _temporal_branch(self, flat: Tensor, cond) -> Tensor:
         n = flat.shape[1]
@@ -251,18 +252,17 @@ class GestureDenoiser(Module):
         return self.temporal_stack(h, cond)
 
     def _condition_emotion(self, g: Tensor, e: Tensor, cond) -> Tensor:
+        """Condition (B, N, d) features on (B, 1, d) emotion embeddings."""
         mode = self.config.emotion_mode
-        d = self.config.d_fusion
         if mode == "adaln":
             return self.emotion_mod(g, e)
         if mode == "in_context_token":
             n = g.shape[1]
-            seq = concat([g, e.reshape(-1, 1, d)], axis=1)
-            seq = self.emotion_block(seq, cond)
+            seq = self.emotion_block(concat([g, e], axis=1), cond)
             return seq[:, :n, :]
         if mode == "in_context_content":
-            return g + self.emotion_proj(e).reshape(-1, 1, d)
-        return self.emotion_attn(g, e.reshape(-1, 1, d))
+            return g + self.emotion_proj(e)
+        return self.emotion_attn(g, e)
 
     # ------------------------------------------------------------------
     # full forward
@@ -312,18 +312,18 @@ class GestureDenoiser(Module):
         aligned, logits = self.classify_audio(audio, n)
         if labels is None:
             labels = np.argmax(logits.data, axis=1)
-        e = take_rows(self.emotion_table, labels)  # (B, d_fusion)
+        # per-item vectors are (B, 1, d): each item's products are then its own
+        e = take_rows(self.emotion_table, labels[:, None])
 
         t_arr = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=int)), (b,))
-        t_feat = Tensor(timestep_features(t_arr, self.config.d_cond))
+        t_feat = Tensor(timestep_features(t_arr, self.config.d_cond)[:, None, :])
         cond = self.time_mlp_out(gelu(self.time_mlp_in(t_feat)))
-        cond = cond + take_rows(self.speaker_table, speakers)
+        cond = cond + take_rows(self.speaker_table, speakers[:, None])
 
         xt = Tensor(x)
         frames = self._temporal_branch(xt.reshape(b, n, -1), cond)
         if self.config.use_spatial_branch:
-            token = self._joint_branch(xt, cond)
-            g = frames + self.token_proj(token).reshape(-1, 1, self.config.d_temporal)
+            g = frames + self.token_proj(self._joint_branch(xt, cond))
         else:
             g = frames
         g = self.fusion_stack(g, cond)

@@ -54,18 +54,23 @@ class Adam:
         return state
 
     def load_state_dict(self, state):
-        """Copy in ``state_dict`` arrays; a missing or malformed one is a TrainingError."""
+        """Copy in ``state_dict`` arrays; a missing or malformed one is a TrainingError.
+
+        Every entry is checked before any state changes.
+        """
         t = np.asarray(state.get("t", np.empty(0)))
         if t.shape != (1,) or not (t[0] >= 0 and float(t[0]).is_integer()):
             raise TrainingError("optimizer state lacks a valid step count t; cannot resume")
         for part in ("m", "v"):
-            moments = getattr(self, part)
-            for k, old in moments.items():
+            for k, old in getattr(self, part).items():
                 new = state.get(f"{part}.{k}")
-                if new is None or np.size(new) != old.size:
+                if new is None or np.shape(new) != old.shape:
                     raise TrainingError(
                         f"optimizer state {part}.{k} is missing or not of shape "
                         f"{old.shape}; cannot resume"
                     )
-                moments[k] = np.array(new, dtype=np.float64).reshape(old.shape)
+        for part in ("m", "v"):
+            moments = getattr(self, part)
+            for k in moments:
+                moments[k] = np.array(state[f"{part}.{k}"], dtype=np.float64)
         self.t = int(t[0])

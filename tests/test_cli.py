@@ -156,13 +156,17 @@ class TestTrain:
                      "--config", str(ws["config"])])
         assert code == 4
 
-    @pytest.mark.parametrize("meta_step, drop, expected", [
-        ("x", None, 4), (1, "opt.m.out_head.W", 3),
-    ], ids=["bad-step", "missing-moment"])
+    @pytest.mark.parametrize("meta_step, drop, transpose, expected", [
+        ("x", None, None, 4), (1, "opt.m.out_head.W", None, 3),
+        (1, None, "opt.m.out_head.W", 3),
+    ], ids=["bad-step", "missing-moment", "transposed-moment"])
     def test_corrupt_resume_checkpoint_exit_code(self, ws, tmp_path, meta_step, drop,
-                                                 expected):
+                                                 transpose, expected):
         bundle = load_checkpoint(ws["checkpoint"])
         extra = {k: v for k, v in bundle.extra_arrays.items() if k != drop}
+        if transpose is not None:  # as many entries, in the wrong shape
+            assert extra[transpose].shape[0] != extra[transpose].shape[1]
+            extra[transpose] = extra[transpose].T
         bad = tmp_path / "bad.ckpt"
         save_checkpoint(bundle.model, bad, stats=bundle.stats,
                         meta={**bundle.meta, "step": meta_step}, extra_arrays=extra)

@@ -12,6 +12,7 @@ from gesturesynth.errors import ConfigError, ContractError, ParseError
 from gesturesynth.gradcheck import finite_diff_check
 from gesturesynth.layers import ConditionalNorm
 from gesturesynth.model import (
+    EMOTION_MODES,
     Condition,
     GestureDenoiser,
     ModelConfig,
@@ -194,7 +195,7 @@ class TestJointBranch:
         for n in (4, 9, 20):
             x = Tensor(np.random.default_rng(n).normal(size=(2, n, model.config.n_joints, 3)))
             out = model._joint_branch(x, cond)
-            assert out.shape == (2, model.config.d_joint)
+            assert out.shape == (2, 1, model.config.d_joint)  # one token per item
 
     def test_attention_sequence_is_joints_plus_token(self):
         model = make_model()
@@ -350,10 +351,10 @@ class TestConditionalNorm:
         for p in norm.params().values():
             p.data = rng.normal(size=p.data.shape)
         x = Tensor(rng.normal(size=(2, 5, 8)))
-        cond = Tensor(rng.normal(size=(2, 4)))
+        cond = Tensor(rng.normal(size=(2, 1, 4)))
         gamma = cond.data @ norm.scale.W.data + norm.scale.b.data + 1.0
         beta = cond.data @ norm.shift.W.data + norm.shift.b.data
-        expected = layer_norm(x, gamma.reshape(2, 1, 8), beta.reshape(2, 1, 8))
+        expected = layer_norm(x, gamma, beta)
         np.testing.assert_array_equal(norm(x, cond).data, expected.data)
         frozen = [k for k, v in vars(norm).items()
                   if isinstance(v, Tensor) and not v.requires_grad]
@@ -372,7 +373,7 @@ class TestEmotionConditioning:
         model = make_model(emotion_mode="adaln")
         rng = np.random.default_rng(15)
         g = Tensor(rng.normal(size=(2, 6, model.config.d_fusion)))
-        e = Tensor(rng.normal(size=(2, model.config.d_fusion)))
+        e = Tensor(rng.normal(size=(2, 1, model.config.d_fusion)))
         out = model._condition_emotion(g, e, None)
         np.testing.assert_array_equal(out.data, g.data)
 
@@ -383,7 +384,7 @@ class TestEmotionConditioning:
         g1 = rng.normal(size=(1, 5, model.config.d_fusion))
         g2 = g1.copy()
         g2[0, 3] = rng.normal(size=model.config.d_fusion)  # change one frame
-        e = Tensor(rng.normal(size=(1, model.config.d_fusion)))
+        e = Tensor(rng.normal(size=(1, 1, model.config.d_fusion)))
         o1 = model._condition_emotion(Tensor(g1), e, None).data
         o2 = model._condition_emotion(Tensor(g2), e, None).data
         np.testing.assert_array_equal(o1[0, [0, 1, 2, 4]], o2[0, [0, 1, 2, 4]])
@@ -393,8 +394,8 @@ class TestEmotionConditioning:
         model = make_model(emotion_mode="in_context_token")
         rng = np.random.default_rng(18)
         g = Tensor(rng.normal(size=(2, 6, model.config.d_fusion)))
-        e = Tensor(rng.normal(size=(2, model.config.d_fusion)))
-        cond = Tensor(np.zeros((2, model.config.d_cond)))
+        e = Tensor(rng.normal(size=(2, 1, model.config.d_fusion)))
+        cond = Tensor(np.zeros((2, 1, model.config.d_cond)))
         out = model._condition_emotion(g, e, cond)
         assert out.shape == (2, 6, model.config.d_fusion)
 
@@ -402,7 +403,7 @@ class TestEmotionConditioning:
         model = make_model(emotion_mode="in_context_content")
         rng = np.random.default_rng(19)
         g = Tensor(rng.normal(size=(1, 4, model.config.d_fusion)))
-        e = Tensor(rng.normal(size=(1, model.config.d_fusion)))
+        e = Tensor(rng.normal(size=(1, 1, model.config.d_fusion)))
         out = model._condition_emotion(g, e, None).data
         shift = out - g.data
         np.testing.assert_allclose(
@@ -413,9 +414,33 @@ class TestEmotionConditioning:
         model = make_model(emotion_mode="cross_attention")
         rng = np.random.default_rng(20)
         g = Tensor(rng.normal(size=(2, 5, model.config.d_fusion)))
-        e = Tensor(rng.normal(size=(2, model.config.d_fusion)))
+        e = Tensor(rng.normal(size=(2, 1, model.config.d_fusion)))
         out = model._condition_emotion(g, e, None)
         assert out.shape == (2, 5, model.config.d_fusion)
+
+
+class TestBatchInvariance:
+    """A stack of clips denoises each clip as it denoises alone, bit for bit."""
+
+    @pytest.mark.parametrize("spatial", [True, False], ids=["spatial", "no-spatial"])
+    @pytest.mark.parametrize("mode", EMOTION_MODES)
+    @pytest.mark.parametrize("labels", ["given", "predicted"])
+    def test_stack_equals_each_item_alone(self, mode, spatial, labels):
+        model = make_model(emotion_mode=mode, use_spatial_branch=spatial)
+        randomize_parameters(model, stream(40, "rand"))
+        c = model.config
+        for n, b in [(n, b) for n in (1, 2, 20, 34) for b in (2, 3, 8)]:
+            rng = np.random.default_rng(100 * n + b)
+            x = rng.normal(size=(b, n, c.n_joints, 3))
+            audio = rng.normal(size=(b, n, c.d_audio_raw))  # distinct per item
+            given = rng.integers(0, c.n_emotions, b) if labels == "given" else [None] * b
+            speakers = rng.integers(0, c.n_speakers, b)
+            stack = model.denoise(x, 7, Condition(
+                audio, None if labels == "predicted" else given, speakers))
+            for i in range(b):
+                alone = model.denoise(x[i], 7, Condition(audio[i], given[i], speakers[i]))
+                np.testing.assert_array_equal(stack[i], alone,
+                                              err_msg=f"N={n} B={b} item {i}")
 
 
 class TestDenoise:
@@ -776,31 +801,33 @@ class TestParameterRegistry:
 # (1) dates from before Linear, attention and mean became single graph nodes
 # and before `linear` folded the batch into its rows: a B=1 product is the
 # same BLAS call either way, so sampling keeps every bit.  (2) was recorded
-# again when `linear` began to form one product over the whole batch, which
-# rounds its batched products and weight-gradient batch sums differently in
-# the last bits (at most 3.6e-15 absolute on these five configurations).
+# again when `linear`'s backward began to fold the batch into one product
+# per direction (at most 3.6e-15 absolute on these five configurations), and
+# again when its forward began to form each item's product alone and the
+# per-item vectors became (B, 1, d): one-row products went from one gemm
+# over the batch to a gemv per item (at most 2.7e-15 absolute).
 # They hash BLAS products, so another BLAS build or CPU kernel may need them
 # recorded again (the same run on the parent tree gives the new values).
 GRAPH_SNAPSHOT = {
     "adaln": (
         "7f0d17dd9ed60f615511c59028796cd4bb4c37fd3ea6b69a90fdc8b852a58357",
-        "bc2fbf9b4a4df68fdaf0ec6867e2b851831304cce57e9b31258857f0354fdabb",
+        "2f6ab1aeb5f2387b5e745fa17de5403861660150b1e5e9d77b503cace8b223d9",
     ),
     "cross_attention": (
         "e8b4b7213a11f2fddea1c036916f8c96db70dc2fb6dcd700b7345e36c9053d12",
-        "14211378a5c4201c1256321ffaaf727977b4cd0f7be89610f123424ca6821b73",
+        "7b78f5a1d04aa1625ac3760faf774dca2c8ad8aeccd088d39514e6e73c502300",
     ),
     "in_context_content": (
         "b3cad2db30db9bac6f97309523b32febbd69f73d498f3df34a3f21ca8e72356d",
-        "e1c055631413229e9a95e9c124b6b0104c2127139d8a2bbd81fac1ffc4deac1d",
+        "fa1c29e5cf6d59a56eb53bec3c53fcf79568b45b4039cf44e1acdb633e277880",
     ),
     "in_context_token": (
         "c80360ed300d0ec07f9f2ead1f5872fcccc1d6c5c54df333b34aa67c525e94c4",
-        "4368b63adb7b88dbed28a29e63a834e8354fa7944ffd783eb56a2b36376594b7",
+        "87e0e08b74f14e2298878e6ad73bbfc99e8a8a2a31598bac749d45fbf1875dfe",
     ),
     "no_spatial_branch": (
         "21322e8c7c7f64f764c7623db858aafb8de6c375defea3a4039ddb707e1a9c4f",
-        "45668753b7f4a6246fa5fcc28012a28f5cf905264529bb0edcf0f6a42e9dcaae",
+        "2fb3baf3ca0ef8aee3ea8caabf377c982b11dc39542ae23f3f4cc5e678814170",
     ),
 }
 

@@ -53,6 +53,20 @@ class TestAdam:
         with pytest.raises(TrainingError, match="bad_param"):
             opt.step()
 
+    @pytest.mark.parametrize("part", ["m", "v"])
+    def test_moment_of_another_shape_is_rejected(self, part):
+        # as many entries as the parameter, but transposed: nothing is reshaped,
+        # and the well-formed entries are not loaded either
+        p = make_param(np.zeros((2, 3)))
+        state = {"t": np.array([4.0]), "m.p": np.ones((2, 3)), "v.p": np.ones((2, 3))}
+        state[f"{part}.p"] = np.arange(6.0).reshape(3, 2)
+        opt = Adam({"p": p})
+        with pytest.raises(TrainingError, match=rf"{part}\.p .* not of shape \(2, 3\)"):
+            opt.load_state_dict(state)
+        assert opt.t == 0
+        np.testing.assert_array_equal(opt.m["p"], np.zeros((2, 3)))
+        np.testing.assert_array_equal(opt.v["p"], np.zeros((2, 3)))
+
     def test_state_roundtrip_resumes_identically(self):
         rng = np.random.default_rng(0)
         grads = [rng.normal(size=3) for _ in range(20)]

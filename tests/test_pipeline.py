@@ -100,17 +100,19 @@ def blas_threads():
 def fail_chains(monkeypatch, chains=(1, 3)):
     """Make ``pipeline.generate_motion`` raise NumericError on the given clips.
 
-    The first failing chain waits before it raises, so on the worker pool a
-    later chain's error arrives first.
+    A lockstep call (a list of ``seed_labels``) raises for the first failing
+    clip it holds.  The first failing chain waits before it raises, so on
+    the worker pool a later chain's error arrives first.
     """
     original = pipeline.generate_motion
 
     def generate(*args, seed_labels=(), **kwargs):
-        i = seed_labels[-1]
-        if i in chains:
-            if i == chains[0]:
+        held = seed_labels if isinstance(seed_labels, list) else [seed_labels]
+        failing = [labels[-1] for labels in held if labels[-1] in chains]
+        if failing:
+            if failing[0] == chains[0]:
                 time.sleep(0.3)
-            raise NumericError(f"chain {i} left its domain")
+            raise NumericError(f"chain {failing[0]} left its domain")
         return original(*args, seed_labels=seed_labels, **kwargs)
 
     monkeypatch.setattr(pipeline, "generate_motion", generate)
@@ -443,6 +445,68 @@ class TestScoring:
         assert f"extractor_final_mse,{mse!r}\n" in (tmp_path / "report.csv").read_text()
 
 
+class TestLockstep:
+    """Chains sampled together give each chain the bytes it has alone."""
+
+    def test_evaluate_chain_ignores_its_batch_mates(self, model, extractor, splits,
+                                                    schedule, monkeypatch):
+        clips = splits.test[:3]
+        cfg = SampleConfig(window=34, overlap=4)
+        generated, batches = [], []
+
+        def keep_generated(extractor, real, gen, audio, **kwargs):
+            generated.extend(gen)
+            return score_generation(extractor, real, gen, audio, **kwargs)
+
+        def denoise(x_t, t, condition):
+            batches.append(np.shape(x_t)[0] if np.ndim(x_t) == 4 else 1)
+            return GestureDenoiser.denoise(model, x_t, t, condition)
+
+        monkeypatch.setattr(pipeline, "score_generation", keep_generated)
+        monkeypatch.setattr(model, "denoise", denoise)
+        one_cpu(monkeypatch)  # one in-process group of all three chains
+        evaluate(model, extractor, clips, schedule, eval_cfg=EvalConfig(repeats=1),
+                 sample_cfg=cfg, master_seed=5)
+        assert batches == [3] * schedule.n_steps
+        middle = clips[1]
+        alone = generate_motion(model, middle.audio.features, schedule, sample_cfg=cfg,
+                                speaker=middle.speaker, master_seed=5,
+                                seed_labels=("eval", 0, 1), fps=middle.motion.fps)
+        assert batches[-1] == 1
+        assert len(generated) == 3
+        assert_array_equal(generated[1].frames, alone.frames)
+
+    def test_seed_pose_is_exact_in_every_chain(self, model, schedule):
+        cfg = SampleConfig(window=20, overlap=4)
+        audio = np.stack([make_audio(60, seed=s) for s in (1, 2, 3)])
+        seed = stream(9, "pose").standard_normal((3, 6, 3))
+        labels = [("pose", k) for k in range(3)]
+        kwargs = dict(sample_cfg=cfg, seed_pose=seed, master_seed=6)
+        batch = generate_motion(model, audio, schedule, emotion=[0, None, 3],
+                                speaker=[1, 0, 1], seed_labels=labels, **kwargs)
+        for k, seq in enumerate(batch):
+            assert_array_equal(seq.frames[:3], seed)
+            alone = generate_motion(model, audio[k], schedule, emotion=[0, None, 3][k],
+                                    speaker=[1, 0, 1][k], seed_labels=labels[k], **kwargs)
+            assert_array_equal(seq.frames, alone.frames)
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 17, 64, 80, 100])
+    def test_groups_are_contiguous_and_bounded(self, n, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(pipeline, "_blas_thread_setter", lambda: None)
+        groups = []
+
+        def fn(group):
+            groups.append(group)
+            return [i * i for i in group]
+
+        assert pipeline.map_chains(fn, n) == [i * i for i in range(n)]
+        assert [i for g in groups for i in g] == list(range(n))
+        size = len(groups[0])
+        assert size <= min(pipeline.LOCKSTEP_MAX, -(-n // min(n, 4)))
+        assert all(len(g) == size for g in groups[:-1])
+
+
 @needs_pool
 class TestMapChains:
     """The worker pool against the one-CPU path that runs chains in-process."""
@@ -487,9 +551,9 @@ class TestMapChains:
     def test_workers_run_one_blas_thread(self):
         before = blas_threads()
 
-        def probe(i):
-            time.sleep(0.2)  # long enough that every worker takes a chain
-            return os.getpid(), blas_threads()
+        def probe(group):
+            time.sleep(0.2)  # long enough that every worker takes a group
+            return [(os.getpid(), blas_threads()) for _ in group]
 
         seen = pipeline.map_chains(probe, 4)
         assert [count for _, count in seen] == [1] * 4
@@ -548,6 +612,17 @@ class TestHarnesses:
         assert_array_equal(result.confusion.sum(axis=1), [2, 2, 2, 2])
         assert 0.0 <= result.accuracy <= 1.0
         assert "transfer accuracy" in result.summary()
+
+    @pytest.mark.parametrize("clips", [0, -1])
+    def test_transfer_eval_needs_a_clip_per_emotion(self, model, classifier, splits,
+                                                    schedule, monkeypatch, clips):
+        def never(*args, **kwargs):
+            raise AssertionError("sampled before the argument check")
+
+        monkeypatch.setattr(pipeline, "generate_motion", never)
+        with pytest.raises(ConfigError, match="clips_per_emotion"):
+            emotion_transfer_eval(model, classifier, splits.val[0].audio.features,
+                                  schedule, clips_per_emotion=clips)
 
     def test_transfer_eval_deterministic(self, model, classifier, splits,
                                          schedule):
