@@ -19,9 +19,12 @@ all leading axes of ``x`` into one product per direction: bit for bit with
 per-slice matmul for a 2-D ``x`` or a batch of one, within the last bits of
 it for a larger batch. ``@`` is ``linear`` without a bias, whose backward
 returns None, and forms no product, for an operand that needs no gradient;
-so do ``+``, ``-``, ``*`` and ``/``.
+so do ``+``, ``-``, ``*`` and ``/``. The OpenBLAS thread-count getter and
+setter that ``metrics`` and ``pipeline`` share live here too.
 """
 
+import ctypes
+import functools
 from contextlib import contextmanager
 
 import numpy as np
@@ -39,6 +42,9 @@ __all__ = [
     "gelu",
     "take_rows",
     "no_grad",
+    "blas_thread_getter",
+    "blas_thread_setter",
+    "one_blas_thread",
 ]
 
 _recording = True
@@ -57,6 +63,62 @@ def no_grad():
         yield
     finally:
         _recording = previous
+
+
+@functools.cache
+def _blas_threads(action):
+    """OpenBLAS's ``get``/``set`` thread-count function for the library numpy loaded.
+
+    None without one.  Looked up once per process, through /proc/self/maps.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                               ("openblas_", "")):
+            fn = getattr(lib, f"{prefix}{action}_num_threads{suffix}", None)
+            if fn is not None:
+                fn.argtypes = [ctypes.c_int] if action == "set" else []
+                fn.restype = None if action == "set" else ctypes.c_int
+                return fn
+    return None
+
+
+def blas_thread_getter():
+    """The thread-count getter of the OpenBLAS library numpy loaded, or None."""
+    return _blas_threads("get")
+
+
+def blas_thread_setter():
+    """The thread-count setter of the OpenBLAS library numpy loaded, or None."""
+    return _blas_threads("set")
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block at one OpenBLAS thread; the caller's count comes back after it.
+
+    A product with hundreds of rows splits its sums over BLAS threads, so its
+    last bits depend on the thread count; at one thread they are the same on
+    any number of cores.  Without an OpenBLAS getter and setter it does nothing.
+    """
+    get, set_threads = blas_thread_getter(), blas_thread_setter()
+    if get is None or set_threads is None:
+        yield
+        return
+    before = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

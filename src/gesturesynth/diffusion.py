@@ -15,8 +15,8 @@ step).  The samplers call ``denoiser(x_t, t, condition)`` for eps_hat;
 a subset of joints or frames to a reference motion: at every step the pinned
 entries are replaced with the forward corruption of the reference at that
 step, and after the final step they are overwritten with the reference exactly.
-Given a list of generators instead of one, that path steps a stack of
-independent chains in lockstep, one denoiser call per step, each chain
+That path steps a stack of independent chains in lockstep, one denoiser call
+per step on the (B, N, J, 3) stack (B = 1 for one generator), each chain
 drawing from its own generator; a denoiser that forms every item of a batch
 as it would alone (``denoise`` does) gives each chain the bytes it has alone.
 
@@ -170,16 +170,18 @@ def _pinned_sample(denoiser, condition, ref, keep, schedule, rng, stats, skeleto
                    fps, variance):
     """Reverse chains with the entries where `keep` is True pinned to `ref`.
 
-    `rng` is one generator for one chain, or a list of B generators for B
-    chains stepped in lockstep: one denoiser call per step on the (B, N, J, 3)
-    stack, whose `condition` holds B stacked clips.  One chain calls the
-    denoiser on (N, J, 3) and returns one sequence; B chains return a list.
-    `ref` is (N, J, 3), shared, or (B, N, J, 3) in data space; `keep`
-    broadcasts against one chain.  The RNG draws depend only on whether
-    anything is kept, so pinning nothing is ``sample`` bit for bit.
+    `rng` is a list of B generators for B chains stepped in lockstep: one
+    denoiser call per step on the (B, N, J, 3) stack, whose `condition`
+    holds B stacked clips, and a list of B sequences back.  One generator
+    is a stack of one, and its sequence comes back alone.  `ref` is
+    (N, J, 3), shared, or (B, N, J, 3) in data space; `keep` broadcasts
+    against one chain.  The RNG draws depend only on whether anything is
+    kept, so pinning nothing is ``sample`` bit for bit.
     """
-    one = not isinstance(rng, (list, tuple))
-    noise = _Lockstep([rng] if one else list(rng))
+    if not isinstance(rng, (list, tuple)):
+        return _pinned_sample(denoiser, condition, ref, keep, schedule, [rng], stats,
+                              skeleton, fps, variance)[0]
+    noise = _Lockstep(rng)
     shape = (len(noise.rngs),) + ref.shape[-3:]
     if ref.ndim == 4 and ref.shape[0] != shape[0]:
         raise ContractError(f"{ref.shape[0]} pinned references for {shape[0]} chains")
@@ -194,13 +196,10 @@ def _pinned_sample(denoiser, condition, ref, keep, schedule, rng, stats, skeleto
         if pin:
             noisy_ref = q_sample(ref_norm, t, noise.standard_normal(shape), schedule)
             x = np.where(keep, noisy_ref, x)
-        x_in = x[0] if one else x
-        eps_hat = np.asarray(denoiser(x_in, t, condition), dtype=np.float64)
-        if eps_hat.shape != x_in.shape:
-            raise ContractError(
-                f"denoiser returned shape {eps_hat.shape} for input shape {x_in.shape}"
-            )
-        x = reverse_step(x, t, eps_hat.reshape(shape), schedule, noise, variance=variance)
+        eps_hat = np.asarray(denoiser(x, t, condition), dtype=np.float64)
+        if eps_hat.shape != shape:
+            raise ContractError(f"denoiser returned shape {eps_hat.shape} for input {shape}")
+        x = reverse_step(x, t, eps_hat, schedule, noise, variance=variance)
     if stats is not None:
         x = denormalize(x.reshape(-1, *shape[-2:]), stats).reshape(shape)
     seqs = []
@@ -208,7 +207,7 @@ def _pinned_sample(denoiser, condition, ref, keep, schedule, rng, stats, skeleto
         if not np.all(np.isfinite(chain)):
             raise NumericError("sampler produced non-finite values")
         seqs.append(GestureSequence(np.where(keep, r, chain), fps=fps, skeleton=skeleton))
-    return seqs[0] if one else seqs
+    return seqs
 
 
 def sample(

@@ -3,7 +3,9 @@
 The distribution metric compares Gaussian fits of latent features.  The
 feature extractor is a small autoencoder over frame-flattened fixed-length
 clips (latent dim 32), trained only on real motion; its decoder exists
-purely to train the encoder and is discarded at evaluation time.
+purely to train the encoder and is discarded at evaluation time.  It trains
+and encodes at one BLAS thread, so its latents are the same bytes on any
+number of cores.
 
 Beat extraction: kinematic beats are prominent local minima of the mean
 per-joint angular speed (gesture strokes pause at beats), audio beats are
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import find_peaks
 
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor, no_grad, one_blas_thread
 from .errors import ConfigError, ContractError, MetricError, NumericError
 from .layers import Linear, Module
 from .motion import (AudioFeatureSequence, DatasetStats, GestureSequence, JsonConfig,
@@ -123,16 +125,17 @@ def train_extractor(real_clips, config: ExtractorConfig = ExtractorConfig()):
     x_all = np.stack([model._flatten(a) for a in arrays])
 
     opt = Adam(model.params(), lr=config.lr)
-    for step in range(1, config.n_steps + 1):
-        batch_rng = stream(config.seed, "extractor-step", step)
-        idx = batch_rng.integers(0, len(x_all), size=config.batch_size)
-        x = Tensor(x_all[idx])
-        diff = model._decode(model._encode(x)) - x
-        loss = (diff * diff).mean()
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-    model.final_mse = model.reconstruction_mse(arrays)
+    with one_blas_thread():  # the same weights on any number of cores
+        for step in range(1, config.n_steps + 1):
+            batch_rng = stream(config.seed, "extractor-step", step)
+            idx = batch_rng.integers(0, len(x_all), size=config.batch_size)
+            x = Tensor(x_all[idx])
+            diff = model._decode(model._encode(x)) - x
+            loss = (diff * diff).mean()
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+        model.final_mse = model.reconstruction_mse(arrays)
     if model.final_mse > config.target_mse:
         warnings.warn(
             f"extractor stopped at reconstruction MSE {model.final_mse:.4f} > "
@@ -147,7 +150,8 @@ def extract_latents(extractor, sequences, stride=None) -> np.ndarray:
     clips = _windows(sequences, n, n if stride is None else stride)
     if not clips:
         raise ContractError(f"no windows of length {n} available for encoding")
-    return extractor.encode_batch(clips)
+    with one_blas_thread():
+        return extractor.encode_batch(clips)
 
 
 # ---------------------------------------------------------------------------

@@ -204,16 +204,6 @@ class AudioFeatureSequence:
         return self.features.shape[0]
 
 
-def canonicalize_rotations(frames: np.ndarray) -> np.ndarray:
-    """Wrap axis-angle rotations to angle in (-pi, pi]; identity when already there."""
-    v = np.asarray(frames, dtype=np.float64)
-    theta = np.linalg.norm(v, axis=-1, keepdims=True)
-    wrapped = np.mod(theta, 2.0 * np.pi)
-    wrapped = np.where(wrapped > np.pi, wrapped - 2.0 * np.pi, wrapped)
-    scale = np.divide(wrapped, theta, out=np.ones_like(theta), where=theta > 0)
-    return v * scale
-
-
 # ---------------------------------------------------------------------------
 # JSON configs and container IO
 # ---------------------------------------------------------------------------

@@ -15,21 +15,21 @@ averaged.
 Each evaluated or emotion-transferred clip is its own reverse chain with its
 own RNG stream, so ``map_chains`` hands contiguous groups of those chains to
 one forked worker per CPU in the affinity mask, with one BLAS thread each,
-and ``generate_chains`` samples a group's equal-length chains in lockstep,
-one batched denoiser call per step.  No chain's arithmetic depends on its
-batch-mates, so every path returns the bytes of running each chain alone,
-one after another, in this process.
+and ``generate_chains`` samples each run of a group's equal-length chains in
+lockstep, one batched denoiser call per step.  No chain's arithmetic depends
+on its batch-mates, so every path returns the bytes of running each chain
+alone, one after another, in this process.
 """
 
 from __future__ import annotations
 
-import ctypes
+import itertools
 import multiprocessing
 import os
 
 import numpy as np
 
-from .autodiff import no_grad
+from .autodiff import blas_thread_setter as _blas_thread_setter, no_grad
 from .config import EvalConfig, SampleConfig
 from .diffusion import NoiseSchedule, inpaint_sample, sample, seed_pose_sample
 from .errors import ConfigError, ContractError
@@ -46,28 +46,6 @@ from .metrics import (
 from .model import Condition, GestureDenoiser
 from .motion import GestureSequence, joint_group_mask, JOINT_GROUPS, stitch
 from .rng import stream
-
-
-def _blas_thread_setter():
-    """The thread-count setter of the OpenBLAS library numpy loaded, or None."""
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    except OSError:
-        return None
-    for path in sorted(libs):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_set_num_threads64_",
-                       "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.argtypes = [ctypes.c_int]
-                fn.restype = None
-                return fn
-    return None
 
 
 LOCKSTEP_MAX = 16  # chains per lockstep group; see map_chains
@@ -138,29 +116,24 @@ def generate_chains(model, chains, schedule, **kwargs):
 
     Each dict gives ``audio_features``, ``emotion``, ``speaker``,
     ``seed_labels`` and ``fps``; ``kwargs`` are shared.  ``map_chains``
-    hands out contiguous groups, and a group's chains of one audio shape
-    and frame rate run as one lockstep ``generate_motion`` call.  If a group
-    fails, its chains run again one at a time, so the first failing chain
-    in input order raises its own exception, as the serial loop would.
+    hands out contiguous groups, and each contiguous run of a group's
+    chains with one audio shape and frame rate is one lockstep
+    ``generate_motion`` call.  A lockstep call raises what its first
+    failing chain raises alone, so the first failing chain in input order
+    raises its own exception, as the serial loop would.
     """
+    def key(j):
+        return np.shape(chains[j]["audio_features"]), chains[j]["fps"]
+
     def run(group):
-        batches = {}
-        for j in group:
-            c = chains[j]
-            batches.setdefault((np.shape(c["audio_features"]), c["fps"]), []).append(j)
-        out = {}
-        try:
-            for (_, fps), js in batches.items():
-                seqs = generate_motion(
-                    model, np.stack([chains[j]["audio_features"] for j in js]), schedule,
-                    emotion=[chains[j]["emotion"] for j in js],
-                    speaker=[chains[j]["speaker"] for j in js],
-                    seed_labels=[chains[j]["seed_labels"] for j in js], fps=fps, **kwargs)
-                out.update(zip(js, seqs))
-        except (ValueError, ArithmeticError):  # every error a chain raises
-            return [generate_motion(model, schedule=schedule, **chains[j], **kwargs)
-                    for j in group]
-        return [out[j] for j in group]
+        seqs = []
+        for (_, fps), run_ in itertools.groupby(group, key):
+            cs = [chains[j] for j in run_]
+            seqs += generate_motion(
+                model, np.stack([c["audio_features"] for c in cs]), schedule,
+                emotion=[c["emotion"] for c in cs], speaker=[c["speaker"] for c in cs],
+                seed_labels=[c["seed_labels"] for c in cs], fps=fps, **kwargs)
+        return seqs
 
     return map_chains(run, len(chains))
 
@@ -217,9 +190,10 @@ def generate_motion(
     if one:
         raw, seed_labels = raw[None], [seed_labels]
     b = len(seed_labels)
-    if raw.ndim != 3 or raw.shape[0] != b:
-        raise ContractError(f"audio features must be (frames, channels) per chain, "
-                            f"got {np.shape(audio_features)} for {b} chain(s)")
+    if raw.shape[:1] != (b,):
+        raise ContractError(f"audio features of shape {raw.shape} are no stack of {b}")
+    if raw.ndim != 3:
+        raise ContractError(f"audio features must be (frames, channels), got {raw.shape[1:]}")
     n_total = raw.shape[1]
     if n_total < 2:
         raise ContractError("need at least 2 audio frames")
@@ -232,18 +206,19 @@ def generate_motion(
     clips = []
     for i, (s, e) in enumerate(spans):
         rngs = [stream(master_seed, *chain, "generate", i) for chain in seed_labels]
-        rng = rngs[0] if one else rngs
         cond = Condition(audio=raw[:, s:e], emotion_label=labels, speaker=speaker)
         if i == 0 and seed_pose is None:
-            window = sample(model.denoise, cond, e - s, n_joints, schedule, rng,
-                            stats=stats, fps=fps, variance=sample_cfg.variance)
+            windows = sample(model.denoise, cond, e - s, n_joints, schedule, rngs,
+                             stats=stats, fps=fps, variance=sample_cfg.variance)
         else:
+            # one chain pins a (k, J, 3) tail, as a one-chain caller of seed_pose_sample
+            # does; wrappers of it (perfbench's tracer) read k from the first axis
             pin = seed_pose if i == 0 else (tails[0] if one else tails)
-            window = seed_pose_sample(model.denoise, cond, pin, e - s, schedule, rng,
-                                      stats=stats, fps=fps,
-                                      variance=sample_cfg.variance)
-        clips.append([window] if one else window)
-        tails = np.stack([c.frames[c.n_frames - sample_cfg.overlap :] for c in clips[-1]])
+            windows = seed_pose_sample(model.denoise, cond, pin, e - s, schedule, rngs,
+                                       stats=stats, fps=fps,
+                                       variance=sample_cfg.variance)
+        clips.append(windows)
+        tails = np.stack([c.frames[c.n_frames - sample_cfg.overlap :] for c in windows])
     seqs = [stitch(list(chain), overlap=sample_cfg.overlap) for chain in zip(*clips)]
     return seqs[0] if one else seqs
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gesturesynth import autodiff
 from gesturesynth.autodiff import (
     Tensor,
     concat,
@@ -10,6 +11,7 @@ from gesturesynth.autodiff import (
     layer_norm,
     linear,
     no_grad,
+    one_blas_thread,
     scaled_dot_attention,
     softmax,
     take_rows,
@@ -742,3 +744,24 @@ class TestConsumingBackward:
             (x * 2).sum().backward(np.ones(4))
         (x * 2).backward(np.ones(3))
         np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
+class TestOneBlasThread:
+    def test_restores_the_callers_count_after_an_error(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(autodiff, "_blas_threads",
+                            {"get": lambda: 3, "set": calls.append}.get)
+        with pytest.raises(KeyError):
+            with one_blas_thread():
+                assert calls == [1]
+                raise KeyError
+        assert calls == [1, 3]
+
+    def test_without_a_setter_changes_nothing(self, monkeypatch):
+        monkeypatch.setattr(autodiff, "_blas_threads", {"get": lambda: 3}.get)
+        with one_blas_thread():
+            pass
+
+    def test_looked_up_once_per_process(self):
+        assert autodiff.blas_thread_setter() is autodiff.blas_thread_setter()
+        assert autodiff.blas_thread_getter() is autodiff.blas_thread_getter()

@@ -55,3 +55,19 @@ def test_one_op_passes_checks_and_matches_the_reference(name, tmp_path, one_blas
         assert math.isclose(values[key], ref, rel_tol=tol, abs_tol=tol), (key, values[key], ref)
     if name in SAMPLING_DIGESTS:
         assert w.digest(outputs) == SAMPLING_DIGESTS[name]
+
+
+def test_eval_digest_does_not_depend_on_blas_threads(tmp_path):
+    """The eval workload at two BLAS threads in this process gives the one-thread bytes."""
+    setter, before = pipeline._blas_thread_setter(), blas_threads()
+    if setter is None:
+        pytest.skip("no OpenBLAS thread setter is loaded")
+    setter(2)
+    try:
+        w = workloads.WORKLOADS["eval"](1, tmp_path)
+        w.setup()
+        _, outputs = w.run_op()
+    finally:
+        if before is not None:
+            setter(before)
+    assert w.digest(outputs) == SAMPLING_DIGESTS["eval"]

@@ -7,7 +7,11 @@ enough to produce good motion.
 """
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,6 +356,28 @@ def test_eval_and_latents_on_samples_longer_than_the_extractor_clip(tmp_path):
     assert main(["export", "--format", "latents", "--motion", str(motion), "--out", str(out),
                  "--corpus", str(corpus), *config]) == 0
     assert len(out.read_text().strip().split("\n")) == 2  # one disjoint 34-frame window
+
+
+def cli_at_blas_threads(threads, *argv):
+    """Standard output of the gesturesynth command in a child at `threads` BLAS threads."""
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run([sys.executable, "-m", "gesturesynth.cli", *argv], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_eval_and_latents_bytes_do_not_depend_on_blas_threads(ws, tmp_path):
+    config = ["--corpus", str(ws["corpus"]), "--config", str(ws["config"])]
+    outputs = []
+    for threads in (1, 2):
+        report, latents = tmp_path / f"report{threads}.csv", tmp_path / f"z{threads}.csv"
+        printed = cli_at_blas_threads(threads, "eval", "--checkpoint", str(ws["checkpoint"]),
+                                      "--out", str(report), *config)
+        cli_at_blas_threads(threads, "export", "--format", "latents",
+                            "--motion", str(ws["motion"]), "--out", str(latents), *config)
+        outputs.append((printed, report.read_bytes(), latents.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 class TestExport:

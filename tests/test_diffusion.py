@@ -351,3 +351,27 @@ class TestSamplers:
             for _ in range(2)
         ]
         np.testing.assert_array_equal(outs[0], outs[1])
+
+    @pytest.mark.parametrize("kind", ["sample", "seed_pose", "inpaint"])
+    def test_one_generator_is_a_stack_of_one(self, kind):
+        shapes = []
+
+        def den(x_t, t, condition):
+            shapes.append(np.shape(x_t))
+            return self.den(x_t, t, condition)
+
+        ref = GestureSequence(np.random.default_rng(14).normal(size=(10, 47, 3)) * 0.3)
+        mask = np.arange(47) % 2 == 0
+
+        def run(rng):
+            if kind == "sample":
+                return sample(den, None, 10, 47, self.sched, rng)
+            if kind == "seed_pose":
+                return seed_pose_sample(den, None, ref.frames[:3], 10, self.sched, rng)
+            return inpaint_sample(den, None, ref, mask, self.sched, rng)
+
+        out = run(stream(14, kind))
+        assert isinstance(out, GestureSequence) and out.frames.shape == (10, 47, 3)
+        assert shapes == [(1, 10, 47, 3)] * self.sched.n_steps
+        [listed] = run([stream(14, kind)])
+        np.testing.assert_array_equal(out.frames, listed.frames)

@@ -8,7 +8,6 @@ from gesturesynth.motion import (
     AudioFeatureSequence,
     DatasetStats,
     GestureSequence,
-    canonicalize_rotations,
     default_skeleton,
     denormalize,
     export_motion_csv,
@@ -118,19 +117,6 @@ class TestSequences:
             GestureSequence(np.zeros((2, 47, 3)), fps=rate)
         with pytest.raises(ConfigError, match="frame rate"):
             AudioFeatureSequence(np.zeros((2, 4)), source_rate_hz=rate)
-
-    def test_canonicalize_identity_in_range(self):
-        frames = np.full((2, 47, 3), 0.3)
-        np.testing.assert_array_equal(canonicalize_rotations(frames), frames)
-
-    def test_canonicalize_wraps_large_angle(self):
-        v = np.array([[[3.0, 0.0, 0.0]]]) * 1.5  # angle 4.5 > pi
-        out = canonicalize_rotations(v)
-        angle = np.linalg.norm(out, axis=-1)
-        assert angle[0, 0] <= np.pi + 1e-12
-        # 4.5 - 2*pi is negative: axis flips, magnitude 2*pi - 4.5
-        np.testing.assert_allclose(out[0, 0, 0], 4.5 - 2 * np.pi, atol=1e-12)
-        assert np.all(np.abs(out) <= np.pi + 1e-12)
 
 
 class TestContainerIO:

@@ -507,6 +507,59 @@ class TestLockstep:
         assert all(len(g) == size for g in groups[:-1])
 
 
+def first_error(call):
+    """(type, message) of the exception `call()` raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestOneChainForm:
+    """A lockstep run raises what its first failing chain raises alone, and samples once."""
+
+    KWARGS = dict(sample_cfg=SampleConfig(window=34, overlap=4), master_seed=5)
+
+    def chains(self, splits):
+        return [dict(audio_features=s.audio.features, emotion=None, speaker=k % 2,
+                     seed_labels=("eval", 0, k), fps=s.motion.fps)
+                for k, s in enumerate(splits.test[:3])]
+
+    def assert_raises_as_alone(self, model, chains, schedule, monkeypatch, cpus, expected):
+        alone = first_error(lambda: [generate_motion(model, schedule=schedule, **c,
+                                                     **self.KWARGS) for c in chains])
+        assert alone[0] is expected
+        if cpus == "one":
+            one_cpu(monkeypatch)
+        lockstep = first_error(lambda: pipeline.generate_chains(model, chains, schedule,
+                                                                **self.KWARGS))
+        assert lockstep == alone
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", ["one", pytest.param("pool", marks=needs_pool)])
+    def test_malformed_audio(self, model, splits, schedule, monkeypatch, cpus):
+        chains = self.chains(splits)
+        chains[1]["audio_features"] = np.zeros(20)
+        self.assert_raises_as_alone(model, chains, schedule, monkeypatch, cpus,
+                                    ContractError)
+
+    @pytest.mark.parametrize("cpus", ["one", pytest.param("pool", marks=needs_pool)])
+    def test_non_finite_chain(self, model, splits, schedule, monkeypatch, cpus):
+        batches = []
+
+        def denoise(x_t, t, condition):  # speaker 1, the middle chain, blows up
+            batches.append(len(x_t))
+            eps = GestureDenoiser.denoise(model, x_t, t, condition)
+            eps[np.broadcast_to(condition.speaker, len(x_t)) == 1] = np.inf
+            return eps
+
+        monkeypatch.setattr(model, "denoise", denoise)
+        with np.errstate(invalid="ignore"):
+            self.assert_raises_as_alone(model, self.chains(splits), schedule,
+                                        monkeypatch, cpus, NumericError)
+        if cpus == "one":  # two chains alone, then the three chains once, in lockstep
+            assert batches == [1] * 2 * schedule.n_steps + [3] * schedule.n_steps
+
+
 @needs_pool
 class TestMapChains:
     """The worker pool against the one-CPU path that runs chains in-process."""
